@@ -247,11 +247,6 @@ pub fn run_backend(
                 fast_reads += n.fast_reads();
                 read_writebacks += n.read_writebacks();
             }
-            AnyNode::Abd(n) => {
-                quorum_round_trips += n.round_trips();
-                fast_reads += n.fast_reads();
-                read_writebacks += n.read_writebacks();
-            }
             _ => {}
         }
     }

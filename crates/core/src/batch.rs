@@ -15,7 +15,7 @@
 //! `t + B + d`. That is exactly the lateness profile of the recovery layer's
 //! retransmitted messages ([`crate::reliable`]), and the same fix applies:
 //! run the inner node with two waits stretched by `B`
-//! ([`batched_waits`]) —
+//! ([`Waits::with_lateness`]) —
 //!
 //! * `execute = u + ε + B`: a queued mutator waits long enough that no
 //!   smaller-timestamped announcement (up to `B` late) can still arrive;
@@ -35,17 +35,6 @@ use lintime_obs::Obs;
 use lintime_sim::node::{Effects, Node};
 use lintime_sim::time::{ModelParams, Pid, Time};
 use std::sync::Arc;
-
-/// The paper's standard waits for tradeoff parameter `x`, with `execute` and
-/// `aop_respond` stretched by the batch tick so announcements delayed up to
-/// one tick still order correctly (see the module docs).
-pub fn batched_waits(params: ModelParams, x: Time, tick: Time) -> Waits {
-    assert!(tick >= Time::ZERO, "batch tick must be non-negative");
-    let mut w = Waits::standard(params, x);
-    w.execute += tick;
-    w.aop_respond += tick;
-    w
-}
 
 /// The batched algorithm's worst-case response time for `class` under
 /// parameter `x` and batch tick `tick`: `d − X + B`, `X + ε`, or `d + ε + B`.
@@ -116,9 +105,10 @@ pub struct BatchWtlwNode {
 
 impl BatchWtlwNode {
     /// A batching node for tradeoff parameter `x` and batch tick `tick`.
-    /// The inner node runs with [`batched_waits`]; `tick = 0` disables
-    /// batching entirely (announcements pass through unbuffered and the
-    /// waits are the paper's standard ones).
+    /// The inner node runs with the standard waits stretched by the tick
+    /// ([`Waits::with_lateness`]); `tick = 0` disables batching entirely
+    /// (announcements pass through unbuffered and the waits are the paper's
+    /// standard ones).
     pub fn new(
         pid: Pid,
         spec: Arc<dyn lintime_adt::spec::ObjectSpec>,
@@ -126,7 +116,7 @@ impl BatchWtlwNode {
         x: Time,
         tick: Time,
     ) -> Self {
-        let inner = WtlwNode::with_waits(pid, spec, batched_waits(params, x, tick));
+        let inner = WtlwNode::with_waits(pid, spec, Waits::standard(params, x).with_lateness(tick));
         BatchWtlwNode {
             tick,
             inner,
@@ -255,16 +245,17 @@ mod tests {
     #[test]
     fn batched_waits_stretch_execute_and_aop_only() {
         let p = params();
-        let x = Time(1200);
-        let b = Time(600);
-        let w = batched_waits(p, x, b);
+        let (x, tick) = (Time(1200), Time(600));
+        let waits =
+            |tick| BatchWtlwNode::new(Pid(0), erase(Register::new(0)), p, x, tick).inner.waits;
+        let w = waits(tick);
         let base = Waits::standard(p, x);
-        assert_eq!(w.execute, base.execute + b);
-        assert_eq!(w.aop_respond, base.aop_respond + b);
+        assert_eq!(w.execute, base.execute + tick);
+        assert_eq!(w.aop_respond, base.aop_respond + tick);
         assert_eq!(w.aop_backdate, base.aop_backdate);
         assert_eq!(w.mop_respond, base.mop_respond);
         assert_eq!(w.add, base.add);
-        assert_eq!(batched_waits(p, x, Time::ZERO), base);
+        assert_eq!(waits(Time::ZERO), base);
     }
 
     #[test]

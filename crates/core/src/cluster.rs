@@ -2,7 +2,6 @@
 //! [`Algorithm`], a data type, and a [`SimConfig`], get a recorded run and
 //! per-class latency statistics. Used by the table binaries and benches.
 
-use crate::abd_kv::{AbdKvNode, AbdMsg};
 use crate::batch::{BatchMsg, BatchTimer, BatchWtlwNode};
 use crate::broadcast::{BcastMsg, BroadcastNode};
 use crate::centralized::{CentralMsg, CentralizedNode};
@@ -14,7 +13,7 @@ use crate::wtlw::{Waits, WtlwMsg, WtlwNode, WtlwTimer};
 use lintime_adt::spec::{Invocation, ObjectSpec, OpClass};
 use lintime_obs::Obs;
 use lintime_sim::engine::SimConfig;
-use lintime_sim::node::{Effects, Node};
+use lintime_sim::node::{Effects, NoTimer, Node};
 use lintime_sim::run::Run;
 use lintime_sim::time::{Pid, Time};
 use std::collections::BTreeMap;
@@ -41,8 +40,9 @@ pub enum Algorithm {
     /// operation log: crash-tolerant up to `⌊(n−1)/2⌋` failures for
     /// **arbitrary** data types.
     QuorumSm,
-    /// Per-key composition of majority-quorum registers implementing the
-    /// kv-store at register cost; crash-tolerant up to `⌊(n−1)/2⌋` failures.
+    /// The kv-store as one majority-quorum register per key (the
+    /// [`MrRegister`](Algorithm::MrRegister) node in kv mode), at register
+    /// cost per key; crash-tolerant up to `⌊(n−1)/2⌋` failures.
     AbdKv,
     /// Algorithm 1 behind the tick-batching wrapper: mutator announcements
     /// flush once per batch tick, trading `+tick` of accessor/mixed latency
@@ -91,12 +91,10 @@ pub enum AnyMsg {
     Central(CentralMsg),
     /// Broadcast-baseline message.
     Bcast(BcastMsg),
-    /// Quorum-register phase message.
+    /// Quorum-register phase message (register or per-key kv-store).
     Mr(MrMsg),
     /// Quorum state-machine phase message.
     Qsm(QsmMsg),
-    /// Per-key quorum kv-store phase message.
-    Abd(AbdMsg),
     /// Recovery-wrapped announcement or acknowledgement.
     Rel(RelMsg),
     /// Tick-batched announcement bundle.
@@ -115,7 +113,6 @@ impl AnyMsg {
             AnyMsg::Bcast(m) => m.wire_bytes(),
             AnyMsg::Mr(m) => m.wire_bytes(),
             AnyMsg::Qsm(m) => m.wire_bytes(),
-            AnyMsg::Abd(m) => m.wire_bytes(),
             AnyMsg::Rel(m) => m.wire_bytes(),
             AnyMsg::Batch(m) => m.wire_bytes(),
             AnyMsg::Naive(m) => m.wire_bytes(),
@@ -147,12 +144,10 @@ pub enum AnyNode {
     Central(CentralizedNode),
     /// Broadcast baseline.
     Bcast(BroadcastNode),
-    /// Quorum register.
+    /// Quorum register (register or per-key kv-store).
     Mr(MrNode),
     /// Quorum state machine.
     Qsm(QsmNode),
-    /// Per-key quorum kv-store.
-    Abd(AbdKvNode),
     /// Recovery-wrapped Algorithm 1.
     Rel(ReliableWtlwNode),
     /// Tick-batched Algorithm 1.
@@ -187,14 +182,11 @@ impl AnyNode {
             Algorithm::WtlwWaits(waits) => AnyNode::Wtlw(WtlwNode::with_waits(pid, spec, waits)),
             Algorithm::Centralized => AnyNode::Central(CentralizedNode::new(pid, spec)),
             Algorithm::Broadcast => AnyNode::Bcast(BroadcastNode::new(pid, params.n, spec)),
-            Algorithm::MrRegister => {
+            Algorithm::MrRegister | Algorithm::AbdKv => {
                 AnyNode::Mr(MrNode::new(pid, spec, params.n).with_obs(obs.clone()))
             }
             Algorithm::QuorumSm => {
                 AnyNode::Qsm(QsmNode::new(pid, spec, params).with_obs(obs.clone()))
-            }
-            Algorithm::AbdKv => {
-                AnyNode::Abd(AbdKvNode::new(pid, spec, params.n).with_obs(obs.clone()))
             }
             Algorithm::BatchedWtlw { x, tick } => {
                 AnyNode::Batch(BatchWtlwNode::new(pid, spec, params, x, tick).with_obs(obs.clone()))
@@ -205,6 +197,11 @@ impl AnyNode {
             Algorithm::NaiveLocal(wait) => AnyNode::Naive(NaiveLocalNode::new(spec, wait)),
         }
     }
+}
+
+/// The timer of a timer-free node, as an [`AnyTimer`] (it has no values).
+fn no_timer(t: NoTimer) -> AnyTimer {
+    match t {}
 }
 
 /// Dispatch a handler call through the unified types.
@@ -232,37 +229,14 @@ impl Node for AnyNode {
             AnyNode::Wtlw(n) => {
                 dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Wtlw, AnyTimer::Wtlw)
             }
-            AnyNode::Central(n) => dispatch!(
-                fx,
-                ifx,
-                n.on_invoke(inv, ifx),
-                AnyMsg::Central,
-                |t: crate::centralized::NoTimer| match t {}
-            ),
-            AnyNode::Bcast(n) => dispatch!(
-                fx,
-                ifx,
-                n.on_invoke(inv, ifx),
-                AnyMsg::Bcast,
-                |t: crate::broadcast::NoTimer| match t {}
-            ),
-            AnyNode::Mr(n) => dispatch!(
-                fx,
-                ifx,
-                n.on_invoke(inv, ifx),
-                AnyMsg::Mr,
-                |t: crate::mr_register::NoTimer| match t {}
-            ),
+            AnyNode::Central(n) => {
+                dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Central, no_timer)
+            }
+            AnyNode::Bcast(n) => dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Bcast, no_timer),
+            AnyNode::Mr(n) => dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Mr, no_timer),
             AnyNode::Qsm(n) => {
                 dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Qsm, AnyTimer::Qsm)
             }
-            AnyNode::Abd(n) => dispatch!(
-                fx,
-                ifx,
-                n.on_invoke(inv, ifx),
-                AnyMsg::Abd,
-                |t: crate::mr_register::NoTimer| match t {}
-            ),
             AnyNode::Rel(n) => {
                 dispatch!(fx, ifx, n.on_invoke(inv, ifx), AnyMsg::Rel, AnyTimer::Rel)
             }
@@ -280,37 +254,18 @@ impl Node for AnyNode {
             (AnyNode::Wtlw(n), AnyMsg::Wtlw(m)) => {
                 dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Wtlw, AnyTimer::Wtlw)
             }
-            (AnyNode::Central(n), AnyMsg::Central(m)) => dispatch!(
-                fx,
-                ifx,
-                n.on_deliver(from, m, ifx),
-                AnyMsg::Central,
-                |t: crate::centralized::NoTimer| match t {}
-            ),
-            (AnyNode::Bcast(n), AnyMsg::Bcast(m)) => dispatch!(
-                fx,
-                ifx,
-                n.on_deliver(from, m, ifx),
-                AnyMsg::Bcast,
-                |t: crate::broadcast::NoTimer| match t {}
-            ),
-            (AnyNode::Mr(n), AnyMsg::Mr(m)) => dispatch!(
-                fx,
-                ifx,
-                n.on_deliver(from, m, ifx),
-                AnyMsg::Mr,
-                |t: crate::mr_register::NoTimer| match t {}
-            ),
+            (AnyNode::Central(n), AnyMsg::Central(m)) => {
+                dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Central, no_timer)
+            }
+            (AnyNode::Bcast(n), AnyMsg::Bcast(m)) => {
+                dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Bcast, no_timer)
+            }
+            (AnyNode::Mr(n), AnyMsg::Mr(m)) => {
+                dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Mr, no_timer)
+            }
             (AnyNode::Qsm(n), AnyMsg::Qsm(m)) => {
                 dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Qsm, AnyTimer::Qsm)
             }
-            (AnyNode::Abd(n), AnyMsg::Abd(m)) => dispatch!(
-                fx,
-                ifx,
-                n.on_deliver(from, m, ifx),
-                AnyMsg::Abd,
-                |t: crate::mr_register::NoTimer| match t {}
-            ),
             (AnyNode::Rel(n), AnyMsg::Rel(m)) => {
                 dispatch!(fx, ifx, n.on_deliver(from, m, ifx), AnyMsg::Rel, AnyTimer::Rel)
             }
@@ -442,6 +397,15 @@ mod tests {
             assert!(w < c, "{op}: wtlw {w} !< centralized {c}");
             assert!(w < b, "{op}: wtlw {w} !< broadcast {b}");
         }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn unified_message_stays_72_bytes() {
+        // Every simulated message is an `AnyMsg`; its size is set by the
+        // largest variant (`QsmMsg::Commit`), not by the quorum register's.
+        assert_eq!(std::mem::size_of::<AnyMsg>(), 72);
+        assert!(std::mem::size_of::<MrMsg>() < 72);
     }
 
     #[test]

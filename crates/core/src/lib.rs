@@ -21,12 +21,12 @@
 //!   violation detector flags runs the recovery budget could not save;
 //! * [`mr_register`] — crash-tolerant majority-quorum register
 //!   (Mostéfaoui–Raynal): survives any minority of crashes, fast
-//!   one-round-trip reads when quorums agree;
+//!   one-round-trip reads when quorums agree. The same node runs the
+//!   kv-store as one register instance per key, at register cost per key
+//!   (locality of linearizability);
 //! * [`quorum_sm`] — crash-tolerant majority-quorum replicated state
 //!   machine for **arbitrary** data types: a timestamp-ordered op log with
 //!   clock-driven stability, generalizing [`mr_register`];
-//! * [`abd_kv`] — per-key composition of quorum registers implementing the
-//!   kv-store at register cost per key (locality of linearizability);
 //! * [`timestamp`] — `(local time, pid)` lexicographic timestamps;
 //! * [`cluster`] — uniform driver + latency statistics over all of the above;
 //! * [`backend`] — the [`backend::Backend`] trait: fault-tolerance claims and
@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod abd_kv;
 pub mod backend;
 pub mod batch;
 pub mod broadcast;
@@ -72,13 +71,57 @@ pub mod reliable;
 pub mod timestamp;
 pub mod wtlw;
 
+/// Tests of the kv-store backend (`Algorithm::AbdKv`). The kv-store is the
+/// [`mr_register`] node run per key, so each quorum behaviour is the
+/// register's test body run on one key of the kv-store.
+#[cfg(test)]
+mod abd_kv {
+    mod tests {
+        use crate::mr_register::tests::{check, Obj};
+
+        #[test]
+        fn put_get_latencies_match_the_register() {
+            check::write_then_read_round_trips_and_latencies(&Obj::kv_store());
+        }
+
+        #[test]
+        fn survives_minority_crashes() {
+            check::survives_minority_crashes(&Obj::kv_store());
+        }
+
+        #[test]
+        fn majority_crash_blocks_instead_of_lying() {
+            check::majority_crash_blocks_instead_of_lying(&Obj::kv_store());
+        }
+
+        #[test]
+        fn duplicated_replies_cannot_fake_a_quorum() {
+            check::duplicated_replies_cannot_fake_a_quorum(&Obj::kv_store());
+        }
+
+        #[test]
+        fn single_process_cluster_is_its_own_quorum() {
+            check::single_process_cluster_is_its_own_quorum(&Obj::kv_store());
+        }
+
+        #[test]
+        fn observed_node_counts_quorum_metrics() {
+            check::observed_node_counts_quorum_metrics(&Obj::kv_store());
+        }
+
+        #[test]
+        #[should_panic(expected = "kv-store")]
+        fn non_kv_spec_is_refused() {
+            let spec = lintime_adt::spec::erase(lintime_adt::types::FifoQueue::new());
+            let _ = crate::mr_register::MrNode::new(lintime_sim::time::Pid(0), spec, 4);
+        }
+    }
+}
+
 /// Convenient re-exports of the most-used items.
 pub mod prelude {
-    pub use crate::abd_kv::{AbdKvNode, AbdMsg};
     pub use crate::backend::{run_backend, Backend, BackendRun, FaultTolerance, UnsupportedSpec};
-    pub use crate::batch::{
-        batched_predicted_latency, batched_waits, BatchMsg, BatchTimer, BatchWtlwNode,
-    };
+    pub use crate::batch::{batched_predicted_latency, BatchMsg, BatchTimer, BatchWtlwNode};
     pub use crate::broadcast::BroadcastNode;
     pub use crate::centralized::CentralizedNode;
     pub use crate::cluster::{

@@ -23,14 +23,29 @@
 //! and lost replies only delay, never corrupt. Linearizability rests on
 //! majority intersection: a committed write's timestamp is visible to every
 //! later quorum, and replica timestamps only grow.
+//!
+//! ## The kv-store as one register per key
+//!
+//! The same node also implements the kv-store ([`SpecKind::KvStore`]) by
+//! running one register instance per key over one message type and one
+//! replica map. This is the *locality* of linearizability made executable —
+//! Herlihy & Wing's observation that a history is linearizable iff its
+//! per-object projections are. Every kv-store operation touches one key:
+//! `put(k, v)` writes `v` to register `k`, `del(k)` writes `Unit` (absent),
+//! `get(k)` reads register `k`. Each key's sub-history linearizes by the
+//! register protocol, so the composed history does too, at register cost
+//! per key. Queries and stores name their key (8 more wire bytes); replies
+//! need not, since a client has one operation, hence one key, in flight.
+//! Message size never depends on how many keys the store holds — unlike
+//! [`crate::quorum_sm`], which ships log prefixes.
 
 use lintime_adt::spec::{Invocation, ObjectSpec, SpecKind};
-use lintime_adt::types::register::ops;
+use lintime_adt::types::{kv_store, register};
 use lintime_adt::value::Value;
 use lintime_obs::{EventCategory, Obs};
-use lintime_sim::node::{Effects, Node};
+use lintime_sim::node::{Effects, NoTimer, Node};
 use lintime_sim::time::Pid;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A quorum timestamp: sequence number with process-id tie-breaking. The
@@ -50,13 +65,16 @@ impl MrTs {
 }
 
 /// Messages of the quorum register. `rid` is the client's per-operation
-/// request id; replies carrying a stale `rid` are discarded.
+/// request id; replies carrying a stale `rid` are discarded. `key` names the
+/// kv-store key a query or store addresses (`None` for the plain register).
 #[derive(Clone, Debug, PartialEq)]
 pub enum MrMsg {
     /// Write phase 1: what is the highest sequence number you have stored?
     SeqQuery {
         /// Requesting operation id.
         rid: u64,
+        /// Addressed key (`None` for the register).
+        key: Option<i64>,
     },
     /// Reply to [`MrMsg::SeqQuery`].
     SeqReply {
@@ -69,6 +87,8 @@ pub enum MrMsg {
     ValQuery {
         /// Requesting operation id.
         rid: u64,
+        /// Addressed key (`None` for the register).
+        key: Option<i64>,
     },
     /// Reply to [`MrMsg::ValQuery`].
     ValReply {
@@ -76,7 +96,7 @@ pub enum MrMsg {
         rid: u64,
         /// The replica's current timestamp.
         ts: MrTs,
-        /// The replica's current value.
+        /// The replica's current value (`Unit` for an absent kv key).
         val: Value,
     },
     /// Store `(val, ts)` (write phase 2, or a read's write-back). The
@@ -84,10 +104,13 @@ pub enum MrMsg {
     Store {
         /// Requesting operation id.
         rid: u64,
+        /// Addressed key (`None` for the register).
+        key: Option<i64>,
         /// Timestamp to store.
         ts: MrTs,
-        /// Value to store.
-        val: Value,
+        /// Value to store (`Unit` deletes a kv key). Boxed so that with the
+        /// key the message still fits the 72 bytes of `AnyMsg`.
+        val: Box<Value>,
     },
     /// Acknowledgement of a [`MrMsg::Store`].
     StoreAck {
@@ -98,19 +121,19 @@ pub enum MrMsg {
 
 impl MrMsg {
     /// Estimated serialized size in bytes: tag + 8-byte `rid`, plus the
-    /// variant payload (a timestamp is 12 bytes: 8-byte seq + 4-byte pid).
+    /// variant payload (a timestamp is 12 bytes: 8-byte seq + 4-byte pid; a
+    /// kv key is 8 bytes, the register's absent key 0).
     pub fn wire_bytes(&self) -> usize {
+        let key_bytes = |key: &Option<i64>| if key.is_some() { 8 } else { 0 };
         9 + match self {
-            MrMsg::SeqQuery { .. } | MrMsg::ValQuery { .. } | MrMsg::StoreAck { .. } => 0,
+            MrMsg::StoreAck { .. } => 0,
+            MrMsg::SeqQuery { key, .. } | MrMsg::ValQuery { key, .. } => key_bytes(key),
             MrMsg::SeqReply { .. } => 8,
-            MrMsg::ValReply { val, .. } | MrMsg::Store { val, .. } => 12 + val.wire_bytes(),
+            MrMsg::ValReply { val, .. } => 12 + val.wire_bytes(),
+            MrMsg::Store { key, val, .. } => key_bytes(key) + 12 + val.wire_bytes(),
         }
     }
 }
-
-/// Timer type (the quorum register needs no timers).
-#[derive(Clone, Debug, PartialEq)]
-pub enum NoTimer {}
 
 /// Client-side progress of the operation pending at this process. Each
 /// phase records the set of processes heard from (including this one);
@@ -119,6 +142,7 @@ enum Phase {
     Idle,
     /// Write phase 1: collecting sequence numbers.
     WriteQuery {
+        key: Option<i64>,
         val: Value,
         max_seq: u64,
         heard: BTreeSet<Pid>,
@@ -130,6 +154,7 @@ enum Phase {
     /// Read phase 1: collecting `(value, ts)` replies. `uniform` stays true
     /// while every reply carries the same timestamp.
     ReadQuery {
+        key: Option<i64>,
         best_ts: MrTs,
         best_val: Value,
         uniform: bool,
@@ -142,7 +167,7 @@ enum Phase {
     },
 }
 
-/// Pre-registered `mr.*` metric handles (see [`MrNode::with_obs`]).
+/// Pre-registered quorum metric handles (see [`MrNode::with_obs`]).
 struct MrMetrics {
     round_trips: lintime_obs::Counter,
     fast_reads: lintime_obs::Counter,
@@ -150,12 +175,12 @@ struct MrMetrics {
 }
 
 impl MrMetrics {
-    fn register(obs: &Obs) -> MrMetrics {
+    fn register(obs: &Obs, prefix: &str) -> MrMetrics {
         let r = &obs.metrics;
         MrMetrics {
-            round_trips: r.counter("mr.quorum_round_trips"),
-            fast_reads: r.counter("mr.fast_reads"),
-            read_writebacks: r.counter("mr.read_writebacks"),
+            round_trips: r.counter(&format!("{prefix}.quorum_round_trips")),
+            fast_reads: r.counter(&format!("{prefix}.fast_reads")),
+            read_writebacks: r.counter(&format!("{prefix}.read_writebacks")),
         }
     }
 }
@@ -165,9 +190,13 @@ impl MrMetrics {
 pub struct MrNode {
     pid: Pid,
     n: usize,
-    /// Replica state: highest-timestamped value stored here.
-    ts: MrTs,
-    val: Value,
+    /// Whether the node serves the kv-store (one register per key) rather
+    /// than a single register; read off the spec once.
+    kv: bool,
+    /// Replica state: highest-timestamped value stored per key. A missing
+    /// key is implicitly at `(MrTs::INITIAL, initial)`.
+    store: BTreeMap<Option<i64>, (MrTs, Value)>,
+    initial: Value,
     /// Client state.
     rid: u64,
     phase: Phase,
@@ -183,23 +212,32 @@ pub struct MrNode {
 
 impl MrNode {
     /// Build a node. The spec must be a read/write register
-    /// ([`SpecKind::Register`]): the protocol replicates a single
-    /// overwritable value, not arbitrary objects.
+    /// ([`SpecKind::Register`]) or the kv-store ([`SpecKind::KvStore`],
+    /// served as one register per key): the protocol replicates overwritable
+    /// values, not arbitrary objects.
     pub fn new(pid: Pid, spec: Arc<dyn ObjectSpec>, n: usize) -> Self {
-        assert_eq!(
-            spec.kind(),
-            SpecKind::Register,
-            "the MR quorum backend implements a read/write register, not {}",
-            spec.name()
-        );
-        // Every replica starts from the register's initial value, read off a
-        // fresh object so deliberate non-zero initializations are honored.
-        let initial = spec.new_object().apply(ops::READ, &Value::Unit);
+        let kv = match spec.kind() {
+            SpecKind::Register => false,
+            SpecKind::KvStore => true,
+            _ => panic!(
+                "the MR quorum backend implements a read/write register or a kv-store, not {}",
+                spec.name()
+            ),
+        };
+        // Every register replica starts from the initial value, read off a
+        // fresh object so deliberate non-zero initializations are honored;
+        // an absent kv key reads `Unit`.
+        let initial = if kv {
+            Value::Unit
+        } else {
+            spec.new_object().apply(register::ops::READ, &Value::Unit)
+        };
         MrNode {
             pid,
             n,
-            ts: MrTs::INITIAL,
-            val: initial,
+            kv,
+            store: BTreeMap::new(),
+            initial,
             rid: 0,
             phase: Phase::Idle,
             round_trips: 0,
@@ -211,9 +249,11 @@ impl MrNode {
     }
 
     /// Attach an observability bundle: quorum round trips, fast reads, and
-    /// write-backs become `mr.*` counters and trace events.
+    /// write-backs become trace events and counters, named `mr.*` for the
+    /// register and `abd.*` for the kv-store.
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.metrics = obs.is_active().then(|| MrMetrics::register(&obs));
+        let prefix = if self.kv { "abd" } else { "mr" };
+        self.metrics = obs.is_active().then(|| MrMetrics::register(&obs, prefix));
         self.obs = obs;
         self
     }
@@ -238,11 +278,41 @@ impl MrNode {
         self.read_writebacks
     }
 
+    /// The replica's `(ts, value)` for a key (missing = initial).
+    fn entry(&self, key: Option<i64>) -> (MrTs, Value) {
+        match self.store.get(&key) {
+            Some((ts, val)) => (*ts, val.clone()),
+            None => (MrTs::INITIAL, self.initial.clone()),
+        }
+    }
+
     /// Replica adoption: keep the lexicographically larger timestamp.
-    fn adopt(&mut self, ts: MrTs, val: Value) {
-        if ts > self.ts {
-            self.ts = ts;
-            self.val = val;
+    fn adopt(&mut self, key: Option<i64>, ts: MrTs, val: Value) {
+        if self.store.get(&key).map_or(MrTs::INITIAL, |e| e.0) < ts {
+            self.store.insert(key, (ts, val));
+        }
+    }
+
+    /// Decode an invocation into the key it addresses (`None` for the
+    /// register) and the value it writes (`None` for a read).
+    fn decode(&self, inv: Invocation) -> (Option<i64>, Option<Value>) {
+        let key = |arg: &Value, op: &str| {
+            arg.as_int().unwrap_or_else(|| panic!("{op} requires an integer key"))
+        };
+        match (self.kv, inv.op) {
+            (false, register::ops::WRITE) => (None, Some(inv.arg)),
+            (false, register::ops::READ) => (None, None),
+            (true, kv_store::ops::PUT) => {
+                let (k, v) = inv
+                    .arg
+                    .as_pair()
+                    .and_then(|(a, b)| Some((a.as_int()?, b.as_int()?)))
+                    .expect("put requires a (key, value) pair of integers");
+                (Some(k), Some(Value::Int(v)))
+            }
+            (true, kv_store::ops::DEL) => (Some(key(&inv.arg, inv.op)), Some(Value::Unit)),
+            (true, kv_store::ops::GET) => (Some(key(&inv.arg, inv.op)), None),
+            (_, other) => panic!("mr_register: unsupported operation {other:?}"),
         }
     }
 
@@ -279,19 +349,19 @@ impl MrNode {
             }
             match std::mem::replace(&mut self.phase, Phase::Idle) {
                 Phase::Idle => unreachable!("ready implies a live phase"),
-                Phase::WriteQuery { val, max_seq, .. } => {
+                Phase::WriteQuery { key, val, max_seq, .. } => {
                     self.count_round_trip();
                     let ts = MrTs { seq: max_seq + 1, pid: self.pid };
-                    self.adopt(ts, val.clone());
+                    self.adopt(key, ts, val.clone());
                     self.phase = Phase::WriteCommit { heard: self.heard_self() };
-                    fx.broadcast(MrMsg::Store { rid: self.rid, ts, val });
+                    fx.broadcast(MrMsg::Store { rid: self.rid, key, ts, val: Box::new(val) });
                 }
                 Phase::WriteCommit { .. } => {
                     self.count_round_trip();
-                    fx.respond(Value::Unit); // a register write acks with Unit
+                    fx.respond(Value::Unit); // write, put and del ack with Unit
                     return;
                 }
-                Phase::ReadQuery { best_ts, best_val, uniform, .. } => {
+                Phase::ReadQuery { key, best_ts, best_val, uniform, .. } => {
                     self.count_round_trip();
                     if uniform {
                         // Every quorum member holds the same timestamp: the
@@ -310,12 +380,18 @@ impl MrNode {
                         m.read_writebacks.inc();
                     }
                     self.obs.emit(fx.local_time().0, Some(self.pid.0), EventCategory::Send, || {
-                        format!("read write-back of {best_ts:?} before responding")
+                        let op = key.map_or_else(|| "read".to_string(), |k| format!("get({k})"));
+                        format!("{op} write-back of {best_ts:?} before responding")
                     });
-                    self.adopt(best_ts, best_val.clone());
+                    self.adopt(key, best_ts, best_val.clone());
                     self.phase =
                         Phase::ReadWriteback { val: best_val.clone(), heard: self.heard_self() };
-                    fx.broadcast(MrMsg::Store { rid: self.rid, ts: best_ts, val: best_val });
+                    fx.broadcast(MrMsg::Store {
+                        rid: self.rid,
+                        key,
+                        ts: best_ts,
+                        val: Box::new(best_val),
+                    });
                 }
                 Phase::ReadWriteback { val, .. } => {
                     self.count_round_trip();
@@ -337,25 +413,24 @@ impl Node for MrNode {
             "one operation at a time per process (engine enforces this)"
         );
         self.rid += 1;
-        match inv.op {
-            ops::WRITE => {
-                self.phase = Phase::WriteQuery {
-                    val: inv.arg,
-                    max_seq: self.ts.seq,
-                    heard: self.heard_self(),
-                };
-                fx.broadcast(MrMsg::SeqQuery { rid: self.rid });
+        let (key, write) = self.decode(inv);
+        let (ts, current) = self.entry(key);
+        match write {
+            Some(val) => {
+                self.phase =
+                    Phase::WriteQuery { key, val, max_seq: ts.seq, heard: self.heard_self() };
+                fx.broadcast(MrMsg::SeqQuery { rid: self.rid, key });
             }
-            ops::READ => {
+            None => {
                 self.phase = Phase::ReadQuery {
-                    best_ts: self.ts,
-                    best_val: self.val.clone(),
+                    key,
+                    best_ts: ts,
+                    best_val: current,
                     uniform: true,
                     heard: self.heard_self(),
                 };
-                fx.broadcast(MrMsg::ValQuery { rid: self.rid });
+                fx.broadcast(MrMsg::ValQuery { rid: self.rid, key });
             }
-            other => panic!("mr_register: unsupported operation {other:?}"),
         }
         // n = 1 (or tiny clusters): the local replica may already be a
         // majority on its own.
@@ -365,12 +440,16 @@ impl Node for MrNode {
     fn on_deliver(&mut self, from: Pid, msg: MrMsg, fx: &mut Effects<MrMsg, NoTimer>) {
         match msg {
             // Replica duties: answer queries, adopt stores, always ack.
-            MrMsg::SeqQuery { rid } => fx.send(from, MrMsg::SeqReply { rid, seq: self.ts.seq }),
-            MrMsg::ValQuery { rid } => {
-                fx.send(from, MrMsg::ValReply { rid, ts: self.ts, val: self.val.clone() })
+            MrMsg::SeqQuery { rid, key } => {
+                let seq = self.entry(key).0.seq;
+                fx.send(from, MrMsg::SeqReply { rid, seq });
             }
-            MrMsg::Store { rid, ts, val } => {
-                self.adopt(ts, val);
+            MrMsg::ValQuery { rid, key } => {
+                let (ts, val) = self.entry(key);
+                fx.send(from, MrMsg::ValReply { rid, ts, val });
+            }
+            MrMsg::Store { rid, key, ts, val } => {
+                self.adopt(key, ts, *val);
                 fx.send(from, MrMsg::StoreAck { rid });
             }
             // Client-side replies: discarded unless they carry the current
@@ -384,7 +463,8 @@ impl Node for MrNode {
                 }
             }
             MrMsg::ValReply { rid, ts, val } if rid == self.rid => {
-                if let Phase::ReadQuery { best_ts, best_val, uniform, heard } = &mut self.phase {
+                if let Phase::ReadQuery { best_ts, best_val, uniform, heard, .. } = &mut self.phase
+                {
                     if heard.insert(from) {
                         if ts != *best_ts {
                             *uniform = false;
@@ -421,10 +501,10 @@ impl Node for MrNode {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lintime_adt::spec::erase;
-    use lintime_adt::types::Register;
+    use lintime_adt::types::{KvStore, Register};
     use lintime_sim::delay::DelaySpec;
     use lintime_sim::engine::{simulate, simulate_full, SimConfig};
     use lintime_sim::faults::FaultPlan;
@@ -439,6 +519,172 @@ mod tests {
         move |pid| MrNode::new(pid, Arc::clone(spec), n)
     }
 
+    fn put(k: i64, v: i64) -> Invocation {
+        Invocation::new("put", Value::pair(k, v))
+    }
+
+    /// One object the node replicates, with a write and a read of one
+    /// register expressed in its operations.
+    pub(crate) struct Obj {
+        spec: Arc<dyn ObjectSpec>,
+        /// `None` for the register, the addressed key for the kv-store.
+        key: Option<i64>,
+    }
+
+    impl Obj {
+        pub(crate) fn register() -> Obj {
+            Obj { spec: erase(Register::new(0)), key: None }
+        }
+
+        /// One key of the kv-store.
+        pub(crate) fn kv_store() -> Obj {
+            Obj { spec: erase(KvStore::new()), key: Some(7) }
+        }
+
+        fn write(&self, v: i64) -> Invocation {
+            self.key.map_or_else(|| Invocation::new("write", v), |k| put(k, v))
+        }
+
+        fn read(&self) -> Invocation {
+            self.key.map_or_else(|| Invocation::nullary("read"), |k| Invocation::new("get", k))
+        }
+
+        fn metric(&self, name: &str) -> String {
+            format!("{}.{name}", if self.key.is_some() { "abd" } else { "mr" })
+        }
+    }
+
+    /// Each behaviour of the quorum protocol, written once. The tests below
+    /// run it for the register; `crate::abd_kv::tests` runs it for one key of
+    /// the kv-store.
+    pub(crate) mod check {
+        use super::*;
+
+        pub(crate) fn write_then_read_round_trips_and_latencies(obj: &Obj) {
+            let p = params5();
+            let cfg = SimConfig::new(p, DelaySpec::AllMax).with_schedule(
+                Schedule::new().at(Pid(0), Time(0), obj.write(42)).at(
+                    Pid(1),
+                    Time(100_000),
+                    obj.read(),
+                ),
+            );
+            let (run, nodes) = simulate_full(&cfg, mk(&obj.spec, p.n));
+            assert!(run.complete(), "{run}");
+            assert!(run.errors.is_empty(), "{:?}", run.errors);
+            // Write: two quorum round trips of d each way = 4d.
+            assert_eq!(run.ops[0].latency(), Some(p.d * 4));
+            // Quiescent read: all replicas agree, one round trip = 2d.
+            assert_eq!(run.ops[1].latency(), Some(p.d * 2));
+            assert_eq!(run.ops[1].ret, Some(Value::Int(42)));
+            assert_eq!(nodes[1].fast_reads(), 1);
+            assert_eq!(nodes[1].read_writebacks(), 0);
+            assert_eq!(nodes[0].round_trips(), 2);
+        }
+
+        pub(crate) fn survives_minority_crashes(obj: &Obj) {
+            let p = params5();
+            // Two of five replicas crash before the workload even starts:
+            // majorities of the three survivors must still commit every op.
+            let plan = FaultPlan::new(11).crash(Pid(3), Time(1)).crash(Pid(4), Time(1));
+            let cfg = SimConfig::new(p, DelaySpec::AllMax).with_faults(plan).with_schedule(
+                Schedule::new()
+                    .at(Pid(0), Time(0), obj.write(5))
+                    .at(Pid(1), Time(50_000), obj.write(6))
+                    .at(Pid(2), Time(100_000), obj.read()),
+            );
+            let run = simulate(&cfg, mk(&obj.spec, p.n));
+            assert!(run.complete(), "a majority is alive, every op must finish: {run}");
+            assert!(!run.truncated);
+            assert_eq!(run.ops[2].ret, Some(Value::Int(6)));
+            assert_eq!(run.crashed_pending, 0);
+        }
+
+        pub(crate) fn majority_crash_blocks_instead_of_lying(obj: &Obj) {
+            let p = params5();
+            // Three of five crash: no quorum exists, so the write must hang
+            // (pending forever), never respond with an uncommitted value.
+            let plan = FaultPlan::new(11)
+                .crash(Pid(2), Time(1))
+                .crash(Pid(3), Time(1))
+                .crash(Pid(4), Time(1));
+            let cfg = SimConfig::new(p, DelaySpec::AllMax)
+                .with_faults(plan)
+                .with_schedule(Schedule::new().at(Pid(0), Time(0), obj.write(5)));
+            let run = simulate(&cfg, mk(&obj.spec, p.n));
+            assert!(!run.complete());
+            assert_eq!(run.pending().count(), 1);
+        }
+
+        pub(crate) fn duplicated_replies_cannot_fake_a_quorum(obj: &Obj) {
+            let p = params5();
+            // Crash two replicas and duplicate every message: duplicates from
+            // the three live peers must not be double-counted, and the run
+            // must still complete correctly off the true quorum.
+            let plan =
+                FaultPlan::new(5).crash(Pid(3), Time(1)).crash(Pid(4), Time(1)).duplicate_all(1.0);
+            let cfg = SimConfig::new(p, DelaySpec::AllMax).with_faults(plan).with_schedule(
+                Schedule::new().at(Pid(0), Time(0), obj.write(9)).at(
+                    Pid(1),
+                    Time(100_000),
+                    obj.read(),
+                ),
+            );
+            let run = simulate(&cfg, mk(&obj.spec, p.n));
+            assert!(run.complete(), "{run}");
+            assert_eq!(run.ops[1].ret, Some(Value::Int(9)));
+        }
+
+        pub(crate) fn single_process_cluster_is_its_own_quorum(obj: &Obj) {
+            // The engine requires n ≥ 2, so drive the node handlers directly:
+            // with n = 1 the local replica alone is a majority and both phases
+            // complete inside `on_invoke`, with no messages sent.
+            let mut node = MrNode::new(Pid(0), Arc::clone(&obj.spec), 1);
+
+            let mut fx = Effects::new(Pid(0), 1, Time(0));
+            node.on_invoke(obj.write(3), &mut fx);
+            let parts = fx.into_parts();
+            assert!(parts.sends.is_empty());
+            assert_eq!(parts.response, Some(Value::Unit));
+
+            let mut fx = Effects::new(Pid(0), 1, Time(10));
+            node.on_invoke(obj.read(), &mut fx);
+            let parts = fx.into_parts();
+            assert!(parts.sends.is_empty());
+            assert_eq!(parts.response, Some(Value::Int(3)));
+
+            if let Some(k) = obj.key {
+                let mut fx = Effects::new(Pid(0), 1, Time(20));
+                node.on_invoke(Invocation::new("del", k), &mut fx);
+                assert_eq!(fx.into_parts().response, Some(Value::Unit));
+
+                let mut fx = Effects::new(Pid(0), 1, Time(30));
+                node.on_invoke(obj.read(), &mut fx);
+                assert_eq!(fx.into_parts().response, Some(Value::Unit));
+            }
+        }
+
+        pub(crate) fn observed_node_counts_quorum_metrics(obj: &Obj) {
+            let p = params5();
+            let (obs, _ring) = Obs::ring(1024);
+            let cfg = SimConfig::new(p, DelaySpec::AllMax)
+                .with_schedule(Schedule::new().at(Pid(0), Time(0), obj.write(1)).at(
+                    Pid(1),
+                    Time(100_000),
+                    obj.read(),
+                ))
+                .with_obs(obs.clone());
+            let run = simulate(&cfg, |pid| {
+                MrNode::new(pid, Arc::clone(&obj.spec), p.n).with_obs(cfg.obs.clone())
+            });
+            assert!(run.complete());
+            // Write = 2 round trips, fast read = 1.
+            assert_eq!(obs.metrics.counter(&obj.metric("quorum_round_trips")).get(), 3);
+            assert_eq!(obs.metrics.counter(&obj.metric("fast_reads")).get(), 1);
+            assert_eq!(obs.metrics.counter(&obj.metric("read_writebacks")).get(), 0);
+        }
+    }
+
     #[test]
     fn timestamps_order_lexicographically() {
         let a = MrTs { seq: 1, pid: Pid(3) };
@@ -450,26 +696,7 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trips_and_latencies() {
-        let p = params5();
-        let spec = erase(Register::new(0));
-        let cfg = SimConfig::new(p, DelaySpec::AllMax).with_schedule(
-            Schedule::new().at(Pid(0), Time(0), Invocation::new("write", 42)).at(
-                Pid(1),
-                Time(100_000),
-                Invocation::nullary("read"),
-            ),
-        );
-        let (run, nodes) = simulate_full(&cfg, mk(&spec, p.n));
-        assert!(run.complete(), "{run}");
-        assert!(run.errors.is_empty(), "{:?}", run.errors);
-        // Write: two quorum round trips of d each way = 4d.
-        assert_eq!(run.ops[0].latency(), Some(p.d * 4));
-        // Quiescent read: all replicas agree, one round trip = 2d.
-        assert_eq!(run.ops[1].latency(), Some(p.d * 2));
-        assert_eq!(run.ops[1].ret, Some(Value::Int(42)));
-        assert_eq!(nodes[1].fast_reads(), 1);
-        assert_eq!(nodes[1].read_writebacks(), 0);
-        assert_eq!(nodes[0].round_trips(), 2);
+        check::write_then_read_round_trips_and_latencies(&Obj::register());
     }
 
     #[test]
@@ -489,38 +716,12 @@ mod tests {
 
     #[test]
     fn survives_minority_crashes() {
-        let p = params5();
-        let spec = erase(Register::new(0));
-        // Two of five replicas crash before the workload even starts:
-        // majorities of the three survivors must still commit every op.
-        let plan = FaultPlan::new(11).crash(Pid(3), Time(1)).crash(Pid(4), Time(1));
-        let cfg = SimConfig::new(p, DelaySpec::AllMax).with_faults(plan).with_schedule(
-            Schedule::new()
-                .at(Pid(0), Time(0), Invocation::new("write", 5))
-                .at(Pid(1), Time(50_000), Invocation::new("write", 6))
-                .at(Pid(2), Time(100_000), Invocation::nullary("read")),
-        );
-        let run = simulate(&cfg, mk(&spec, p.n));
-        assert!(run.complete(), "a majority is alive, every op must finish: {run}");
-        assert!(!run.truncated);
-        assert_eq!(run.ops[2].ret, Some(Value::Int(6)));
-        assert_eq!(run.crashed_pending, 0);
+        check::survives_minority_crashes(&Obj::register());
     }
 
     #[test]
     fn majority_crash_blocks_instead_of_lying() {
-        let p = params5();
-        let spec = erase(Register::new(0));
-        // Three of five crash: no quorum exists, so the write must hang
-        // (pending forever), never respond with an uncommitted value.
-        let plan =
-            FaultPlan::new(11).crash(Pid(2), Time(1)).crash(Pid(3), Time(1)).crash(Pid(4), Time(1));
-        let cfg = SimConfig::new(p, DelaySpec::AllMax)
-            .with_faults(plan)
-            .with_schedule(Schedule::new().at(Pid(0), Time(0), Invocation::new("write", 5)));
-        let run = simulate(&cfg, mk(&spec, p.n));
-        assert!(!run.complete());
-        assert_eq!(run.pending().count(), 1);
+        check::majority_crash_blocks_instead_of_lying(&Obj::register());
     }
 
     #[test]
@@ -546,70 +747,82 @@ mod tests {
 
     #[test]
     fn duplicated_replies_cannot_fake_a_quorum() {
-        let p = params5();
-        let spec = erase(Register::new(0));
-        // Crash two replicas and duplicate every message: duplicates from
-        // the three live peers must not be double-counted, and the run must
-        // still complete correctly off the true quorum.
-        let plan =
-            FaultPlan::new(5).crash(Pid(3), Time(1)).crash(Pid(4), Time(1)).duplicate_all(1.0);
-        let cfg = SimConfig::new(p, DelaySpec::AllMax).with_faults(plan).with_schedule(
-            Schedule::new().at(Pid(0), Time(0), Invocation::new("write", 9)).at(
-                Pid(1),
-                Time(100_000),
-                Invocation::nullary("read"),
-            ),
-        );
-        let run = simulate(&cfg, mk(&spec, p.n));
-        assert!(run.complete(), "{run}");
-        assert_eq!(run.ops[1].ret, Some(Value::Int(9)));
+        check::duplicated_replies_cannot_fake_a_quorum(&Obj::register());
     }
 
     #[test]
     fn single_process_cluster_is_its_own_quorum() {
-        // The engine requires n ≥ 2, so drive the node handlers directly:
-        // with n = 1 the local replica alone is a majority and both phases
-        // complete inside `on_invoke`, with no messages sent.
-        let spec = erase(Register::new(0));
-        let mut node = MrNode::new(Pid(0), Arc::clone(&spec), 1);
-
-        let mut fx = Effects::new(Pid(0), 1, Time(0));
-        node.on_invoke(Invocation::new("write", 3), &mut fx);
-        let parts = fx.into_parts();
-        assert!(parts.sends.is_empty());
-        assert_eq!(parts.response, Some(Value::Unit));
-
-        let mut fx = Effects::new(Pid(0), 1, Time(10));
-        node.on_invoke(Invocation::nullary("read"), &mut fx);
-        let parts = fx.into_parts();
-        assert!(parts.sends.is_empty());
-        assert_eq!(parts.response, Some(Value::Int(3)));
+        check::single_process_cluster_is_its_own_quorum(&Obj::register());
     }
 
     #[test]
     fn observed_node_counts_quorum_metrics() {
-        let p = params5();
-        let spec = erase(Register::new(0));
-        let (obs, _ring) = Obs::ring(1024);
-        let cfg = SimConfig::new(p, DelaySpec::AllMax)
-            .with_schedule(Schedule::new().at(Pid(0), Time(0), Invocation::new("write", 1)).at(
-                Pid(1),
-                Time(100_000),
-                Invocation::nullary("read"),
-            ))
-            .with_obs(obs.clone());
-        let run = simulate(&cfg, |pid| {
-            MrNode::new(pid, Arc::clone(&spec), p.n).with_obs(cfg.obs.clone())
-        });
-        assert!(run.complete());
-        // Write = 2 round trips, fast read = 1.
-        assert_eq!(obs.metrics.counter("mr.quorum_round_trips").get(), 3);
-        assert_eq!(obs.metrics.counter("mr.fast_reads").get(), 1);
-        assert_eq!(obs.metrics.counter("mr.read_writebacks").get(), 0);
+        check::observed_node_counts_quorum_metrics(&Obj::register());
     }
 
     #[test]
-    #[should_panic(expected = "read/write register")]
+    fn del_makes_the_key_absent() {
+        let p = params5();
+        let spec = erase(KvStore::new());
+        let cfg = SimConfig::new(p, DelaySpec::AllMax).with_schedule(
+            Schedule::new()
+                .at(Pid(0), Time(0), put(3, 30))
+                .at(Pid(1), Time(100_000), Invocation::new("del", 3))
+                .at(Pid(2), Time(200_000), Invocation::new("get", 3))
+                .at(Pid(2), Time(300_000), Invocation::new("get", 99)),
+        );
+        let run = simulate(&cfg, mk(&spec, p.n));
+        assert!(run.complete(), "{run}");
+        assert_eq!(run.ops[2].ret, Some(Value::Unit), "deleted key must read absent");
+        assert_eq!(run.ops[3].ret, Some(Value::Unit), "never-written key reads absent");
+    }
+
+    #[test]
+    fn distinct_keys_are_independent_registers() {
+        let p = params5();
+        let spec = erase(KvStore::new());
+        // Concurrent puts on distinct keys, then gets of both: each key's
+        // register holds its own value, untouched by the other's traffic.
+        let cfg = SimConfig::new(p, DelaySpec::UniformRandom { seed: 13 }).with_schedule(
+            Schedule::new()
+                .at(Pid(0), Time(0), put(1, 10))
+                .at(Pid(1), Time(5), put(2, 20))
+                .at(Pid(2), Time(100_000), Invocation::new("get", 1))
+                .at(Pid(3), Time(100_000), Invocation::new("get", 2)),
+        );
+        let run = simulate(&cfg, mk(&spec, p.n));
+        assert!(run.complete(), "{run}");
+        assert_eq!(run.ops[2].ret, Some(Value::Int(10)));
+        assert_eq!(run.ops[3].ret, Some(Value::Int(20)));
+    }
+
+    #[test]
+    fn wire_bytes_stay_constant_per_message() {
+        let ts = MrTs { seq: 1, pid: Pid(0) };
+        let store = |key, val| MrMsg::Store { rid: 1, key, ts, val: Box::new(val) };
+        let int = Value::Int(1);
+        // The register: no key on the wire.
+        for query in [
+            MrMsg::SeqQuery { rid: 1, key: None },
+            MrMsg::ValQuery { rid: 1, key: None },
+            MrMsg::StoreAck { rid: 1 },
+        ] {
+            assert_eq!(query.wire_bytes(), 9);
+        }
+        assert_eq!(MrMsg::SeqReply { rid: 1, seq: 4 }.wire_bytes(), 9 + 8);
+        let reply = MrMsg::ValReply { rid: 1, ts, val: int.clone() };
+        assert_eq!(reply.wire_bytes(), 9 + 12 + int.wire_bytes());
+        assert_eq!(store(None, int.clone()).wire_bytes(), 9 + 12 + int.wire_bytes());
+        // The kv-store: queries and stores name one key, so message size
+        // never depends on how many keys the store holds.
+        assert_eq!(MrMsg::SeqQuery { rid: 1, key: Some(1) }.wire_bytes(), 9 + 8);
+        assert_eq!(MrMsg::ValQuery { rid: 1, key: Some(1) }.wire_bytes(), 9 + 8);
+        assert_eq!(store(Some(1), int).wire_bytes(), 9 + 8 + 12 + 1 + 8);
+        assert_eq!(store(Some(1), Value::Unit).wire_bytes(), 9 + 8 + 12 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "read/write register or a kv-store")]
     fn non_register_spec_is_refused() {
         let spec = erase(lintime_adt::types::FifoQueue::new());
         let _ = MrNode::new(Pid(0), spec, 4);

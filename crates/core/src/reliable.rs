@@ -81,11 +81,7 @@ impl RecoveryConfig {
     /// `execute` and `aop_respond` extended by the backoff budget so the
     /// inner algorithm tolerates recovered (late) messages.
     pub fn extended_waits(&self, params: ModelParams, x: Time) -> Waits {
-        let b = self.backoff_budget();
-        let mut w = Waits::standard(params, x);
-        w.execute += b;
-        w.aop_respond += b;
-        w
+        Waits::standard(params, x).with_lateness(self.backoff_budget())
     }
 }
 

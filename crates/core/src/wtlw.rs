@@ -65,6 +65,18 @@ impl Waits {
         }
     }
 
+    /// The waits for announcements that may arrive up to `b` late (a batch
+    /// tick, a retransmission backoff budget): `execute` and `aop_respond`
+    /// stretch by `b`, so no late announcement can still be outstanding when
+    /// a mutator executes or an accessor responds. Timestamp backdating and
+    /// the pure-mutator ack do not depend on arrival and stay unchanged.
+    pub fn with_lateness(mut self, b: Time) -> Waits {
+        assert!(b >= Time::ZERO, "lateness bound must be non-negative");
+        self.execute += b;
+        self.aop_respond += b;
+        self
+    }
+
     /// A uniformly scaled (sped-up) variant: every wait multiplied by
     /// `num/den`. Used to build lower-bound victims that respond too fast.
     pub fn scaled(self, num: i64, den: i64) -> Waits {
@@ -167,7 +179,7 @@ pub struct WtlwNode {
     pid: Pid,
     spec: Arc<dyn ObjectSpec>,
     object: Box<dyn ObjState>,
-    waits: Waits,
+    pub(crate) waits: Waits,
     to_execute: BinaryHeap<Reverse<(Timestamp, Invocation)>>,
     /// Timestamp of the locally-invoked *mixed* operation awaiting execution.
     pending_mixed: Option<Timestamp>,
@@ -354,6 +366,26 @@ mod tests {
         assert_eq!(w.add, Time(3600)); // d - u
         assert_eq!(w.execute, Time(4200)); // u + ε
         assert_eq!(w.predicted_latency(OpClass::Mixed), p.d + p.epsilon);
+    }
+
+    #[test]
+    fn with_lateness_stretches_execute_and_aop_only() {
+        let p = params();
+        let base = Waits::standard(p, Time(1200));
+        let b = Time(600);
+        let w = base.with_lateness(b);
+        assert_eq!(w.execute, base.execute + b);
+        assert_eq!(w.aop_respond, base.aop_respond + b);
+        assert_eq!(w.aop_backdate, base.aop_backdate);
+        assert_eq!(w.mop_respond, base.mop_respond);
+        assert_eq!(w.add, base.add);
+        assert_eq!(base.with_lateness(Time::ZERO), base);
+    }
+
+    #[test]
+    #[should_panic(expected = "lateness bound must be non-negative")]
+    fn with_lateness_rejects_negative_bounds() {
+        let _ = Waits::standard(params(), Time(1200)).with_lateness(Time(-1));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::engine::{simulate, simulate_full, OpEvent, SimConfig};
     pub use crate::faults::{FaultPlan, InjectedFault, StallWindow};
     pub use crate::fragment::{apply_cuts, chop, shortest_paths, Fragment};
-    pub use crate::node::{EffectParts, Effects, Node};
+    pub use crate::node::{EffectParts, Effects, NoTimer, Node};
     pub use crate::rng::SplitMix64;
     pub use crate::run::{CrashedPendingByClass, MsgRecord, OpRecord, Run, StepTrigger, ViewStep};
     pub use crate::schedule::{Schedule, Script, TimedInvocation};

@@ -41,6 +41,11 @@ pub trait Node: Send {
     }
 }
 
+/// Timer type of nodes that set no timers. Uninhabited, so their
+/// [`Node::on_timer`] is `match timer {}`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum NoTimer {}
+
 /// Effect sink handed to [`Node`] handlers: collects sends, timer operations,
 /// and the optional response produced by one transition.
 pub struct Effects<M, T> {
