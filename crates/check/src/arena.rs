@@ -6,8 +6,9 @@
 //! argument, response, process, and the two timestamps live in separate
 //! dense vectors indexed by `u32`, with the two sort orders the Wing–Gong
 //! search needs (`by_invoke`, `by_respond`) precomputed once. It is built a
-//! single time per decision — by [`crate::monitor::check_fast_with`] before
-//! dispatch, or by the [`crate::wing_gong`] entry points themselves — and
+//! single time per decision — by the fallback of the one monitor dispatch
+//! body ([`crate::monitor::decide_fast`]) or by
+//! [`crate::wing_gong::check_with`] itself — and
 //! then shared read-only by every search the decision spawns, including all
 //! parallel workers (the arena is `Sync`; workers never touch anything but
 //! `&HistoryArena`).
@@ -85,11 +86,6 @@ impl HistoryArena {
         self.op.len()
     }
 
-    /// True iff the arena holds no operations.
-    pub fn is_empty(&self) -> bool {
-        self.op.is_empty()
-    }
-
     /// The real-time predecessor sets: bit `j` of entry `i` is set iff op `j`
     /// responded strictly before op `i` was invoked (so `j` must precede `i`
     /// in every linearization).
@@ -165,7 +161,7 @@ mod tests {
     #[test]
     fn empty_arena() {
         let a = HistoryArena::from_history(&History::default());
-        assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
         assert!(a.predecessor_sets().is_empty());
     }
 }

@@ -15,11 +15,6 @@ impl BitSet {
         BitSet { words: vec![0; len.div_ceil(64)].into_boxed_slice(), len }
     }
 
-    /// Capacity in bits.
-    pub fn capacity(&self) -> usize {
-        self.len
-    }
-
     /// Set bit `i`.
     pub fn set(&mut self, i: usize) {
         debug_assert!(i < self.len);
@@ -36,36 +31,6 @@ impl BitSet {
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True iff every bit is set.
-    pub fn full(&self) -> bool {
-        self.count() == self.len
-    }
-
-    /// The backing words (64 bits each, little-endian bit order; trailing
-    /// bits beyond `capacity()` are zero). Exposed so callers can run
-    /// word-at-a-time scans and merges instead of per-bit loops.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Number of set bits among the first `n` (word-at-a-time popcount over
-    /// the prefix, one masked partial word at the boundary).
-    pub fn count_prefix(&self, n: usize) -> usize {
-        debug_assert!(n <= self.len);
-        let full_words = n / 64;
-        let mut c: usize = self.words[..full_words].iter().map(|w| w.count_ones() as usize).sum();
-        let rem = n % 64;
-        if rem != 0 {
-            c += (self.words[full_words] & ((1u64 << rem) - 1)).count_ones() as usize;
-        }
-        c
     }
 
     /// In-place union: `self |= other`. Capacities must match.
@@ -103,21 +68,10 @@ mod tests {
         b.set(64);
         b.set(129);
         assert!(b.get(0) && b.get(64) && b.get(129));
-        assert_eq!(b.count(), 3);
+        assert_eq!(b.ones().count(), 3);
         b.clear(64);
         assert!(!b.get(64));
-        assert_eq!(b.count(), 2);
-    }
-
-    #[test]
-    fn full_detection() {
-        let mut b = BitSet::new(3);
-        b.set(0);
-        b.set(1);
-        assert!(!b.full());
-        b.set(2);
-        assert!(b.full());
-        assert!(BitSet::new(0).full());
+        assert_eq!(b.ones().collect::<Vec<_>>(), vec![0, 129]);
     }
 
     #[test]
@@ -128,11 +82,11 @@ mod tests {
             b.set(i);
         }
         assert_eq!(b.ones().collect::<Vec<_>>(), set);
-        assert_eq!(b.count_prefix(0), 0);
-        assert_eq!(b.count_prefix(64), 3);
-        assert_eq!(b.count_prefix(65), 4);
-        assert_eq!(b.count_prefix(200), 7);
-        assert_eq!(b.count_prefix(200), b.count());
+        let count_prefix = |n: usize| b.ones().take_while(|&i| i < n).count();
+        assert_eq!(count_prefix(0), 0);
+        assert_eq!(count_prefix(64), 3);
+        assert_eq!(count_prefix(65), 4);
+        assert_eq!(count_prefix(200), 7);
     }
 
     #[test]

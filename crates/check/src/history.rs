@@ -172,10 +172,9 @@ impl History {
     /// The precedence matrix: `prec[i]` lists (in ascending index order) the
     /// indices that must come before op `i` in any linearization.
     ///
-    /// Built on the struct-of-arrays arena: one transposition, then a
-    /// word-at-a-time bitset sweep ([`crate::arena::HistoryArena::
-    /// predecessor_sets`]) whose per-op cost is a word-level copy rather
-    /// than per-edge pushes. The bit order makes the ascending-index edge
+    /// Built on the crate's internal struct-of-arrays history arena: one
+    /// transposition, then a word-at-a-time bitset sweep whose per-op cost
+    /// is a word-level copy rather than per-edge pushes. The bit order makes the ascending-index edge
     /// lists fall out of the set iteration for free.
     pub fn predecessors(&self) -> Vec<Vec<usize>> {
         crate::arena::HistoryArena::from_history(self)

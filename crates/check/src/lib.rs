@@ -7,20 +7,27 @@
 //! of non-overlapping operations.
 //!
 //! * [`history`] — concurrent histories extracted from runs;
-//! * [`arena`] — the struct-of-arrays history arena every checker shares
-//!   read-only (timestamps, sort orders, and payload columns built once);
 //! * [`wing_gong`] — the decision procedure (Wing–Gong search with Lowe's
 //!   state memoization);
 //! * [`monitor`] — type-specialized fast-path monitors (register, queue,
 //!   stack, set/kv, counter) with Wing–Gong fallback via
 //!   [`monitor::check_fast`];
-//! * [`bitset`] — the done-set representation used by the search;
 //! * [`compositional`] — per-object checking for multi-object (product)
 //!   histories, exploiting the locality of linearizability;
 //! * [`stream`] — the online bounded-memory checker
 //!   ([`stream::StreamChecker`]): feed live operation events, garbage-collect
 //!   settled prefixes at canonical cuts, keep resident memory flat over
 //!   arbitrarily long traces.
+//!
+//! The offline checker has eight entry points: [`wing_gong::check`] and
+//! [`wing_gong::check_with`] (the general search), [`monitor::check_fast`],
+//! [`monitor::check_fast_with`], [`monitor::check_fast_pending`] and
+//! [`monitor::check_fast_pending_with`] (the monitor fast path, complete or
+//! with pending operations; the `_with` forms take a [`wing_gong::CheckConfig`]
+//! and a `lintime_obs::Obs`), [`stream::replay_run`], and
+//! [`compositional::check_components`]. Internally every check shares one
+//! struct-of-arrays history arena (timestamps, sort orders, and payload
+//! columns built once per decision, read by all parallel search workers).
 //!
 //! The paper's Construction 1 (the *specific* linearization Algorithm 1
 //! induces) is verified separately in `lintime-core::construction`, since it
@@ -29,8 +36,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arena;
-pub mod bitset;
+mod arena;
+mod bitset;
 pub mod compositional;
 pub mod history;
 pub mod monitor;
@@ -39,15 +46,14 @@ pub mod wing_gong;
 
 /// Convenient re-exports of the most-used items.
 pub mod prelude {
-    pub use crate::arena::HistoryArena;
     pub use crate::compositional::{check_components, ComponentVerdicts, ShardVerdicts};
     pub use crate::history::{History, LossyDrops, PendingHistory, PendingOp, TimedOp};
     pub use crate::monitor::{
-        check_fast, check_fast_pending, check_fast_pending_observed, check_fast_pending_with,
-        check_fast_with, verify_witness, MonitorOutcome,
+        check_fast, check_fast_pending, check_fast_pending_with, check_fast_with, verify_witness,
+        MonitorOutcome,
     };
     pub use crate::stream::{
         replay_run, StreamChecker, StreamConfig, StreamStats, StreamVerdict, UnknownReason,
     };
-    pub use crate::wing_gong::{check, check_free_with, check_with, CheckConfig, Verdict};
+    pub use crate::wing_gong::{check, check_with, CheckConfig, Verdict};
 }

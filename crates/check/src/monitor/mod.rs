@@ -44,6 +44,7 @@ use lintime_sim::time::Time;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::Instant;
 
 /// What a specialized monitor concluded about a history.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,7 +66,24 @@ pub enum MonitorOutcome {
 /// interchangeable, and [`Verdict::Unknown`] can only arise from the
 /// fallback path's node budget.
 pub fn check_fast(spec: &Arc<dyn ObjectSpec>, history: &History) -> Verdict {
-    check_fast_with(spec, history, CheckConfig::default())
+    decide_fast(spec, history, None, CheckConfig::default(), None).0
+}
+
+/// [`check_fast`] with an explicit configuration and checker observability:
+/// monitor fast-path hits vs Wing–Gong fallbacks, memo hit rate,
+/// frontier-size histogram, and witness replay time land in `obs.metrics`
+/// under `check.*`, and each decision phase emits an
+/// [`EventCategory::CheckPhase`] trace event.
+///
+/// With an inactive bundle ([`Obs::off`]) nothing is recorded — same
+/// verdicts, same cost — so callers can thread one `Obs` unconditionally.
+pub fn check_fast_with(
+    spec: &Arc<dyn ObjectSpec>,
+    history: &History,
+    cfg: CheckConfig,
+    obs: &Obs,
+) -> Verdict {
+    decide_fast(spec, history, None, cfg, obs.is_active().then_some(obs)).0
 }
 
 /// Route a history to the specialized monitor for its [`SpecKind`], if any.
@@ -90,32 +108,113 @@ pub(crate) fn dispatch_monitor(
     }
 }
 
-/// [`check_fast`] with an explicit fallback node budget.
-pub fn check_fast_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: CheckConfig) -> Verdict {
+/// The one risk-asymmetric decision body behind every fast-path check
+/// (offline, pending completions, and each streaming window): run the
+/// monitor, certify its witness only after replay verification, and decide
+/// with the Wing–Gong search when the monitor defers. Ops marked in `free`
+/// (see [`wing_gong::decide`]) bypass the monitors — their placeholder
+/// responses would mislead witness construction — and go straight to the
+/// search. Returns the verdict and whether the fallback search ran.
+pub(crate) fn decide_fast(
+    spec: &Arc<dyn ObjectSpec>,
+    history: &History,
+    free: Option<&[bool]>,
+    cfg: CheckConfig,
+    obs: Option<&Obs>,
+) -> (Verdict, bool) {
+    // Check phases happen after the run; anchor them at the history's end so
+    // an interleaved trace reads chronologically.
+    let t_end = obs.map_or(0, |_| history.ops.iter().map(|o| o.t_respond.0).max().unwrap_or(0));
+    let note = |detail: &dyn Fn() -> String| {
+        if let Some(o) = obs {
+            o.emit(t_end, None, EventCategory::CheckPhase, detail);
+        }
+    };
+    let count = |name: &str| {
+        if let Some(o) = obs {
+            o.metrics.counter(name).inc();
+        }
+    };
+    note(&|| format!("dispatch: {:?} history of {} ops", spec.kind(), history.len()));
     if history.is_empty() {
-        return Verdict::Linearizable(Vec::new());
+        return (Verdict::Linearizable(Vec::new()), false);
     }
-    match dispatch_monitor(spec, history, cfg) {
-        MonitorOutcome::Witness(order) => {
-            if verify_witness(spec, history, &order) {
-                Verdict::Linearizable(order)
-            } else {
+    if free.is_none() {
+        match dispatch_monitor(spec, history, cfg) {
+            MonitorOutcome::Witness(order) => {
+                let t0 = obs.map(|_| Instant::now());
+                let ok = verify_witness(spec, history, &order);
+                if let (Some(o), Some(t0)) = (obs, t0) {
+                    let replay_us = t0.elapsed().as_micros() as u64;
+                    o.metrics
+                        .histogram("check.witness_replay_micros", &[10, 100, 1_000, 10_000])
+                        .observe(replay_us);
+                    if ok {
+                        count("check.monitor.witnesses");
+                        note(&|| format!("monitor witness verified by replay in {replay_us}us"));
+                    }
+                }
+                if ok {
+                    return (Verdict::Linearizable(order), false);
+                }
                 // A monitor bug, not a verdict: never certify an unchecked
                 // witness. Decide with the general search instead.
                 debug_assert!(false, "monitor produced an invalid witness");
-                let arena = HistoryArena::from_history(history);
-                wing_gong::check_arena_with(spec, &arena, cfg)
+                count("check.monitor.invalid_witnesses");
+                note(&|| {
+                    "monitor witness FAILED replay; deciding with the general search".to_string()
+                });
+            }
+            MonitorOutcome::Violation => {
+                count("check.monitor.violations");
+                note(&|| "monitor violation certificate: not linearizable".to_string());
+                return (Verdict::NotLinearizable, false);
+            }
+            MonitorOutcome::Deferred => {
+                count("check.monitor.deferred");
+                note(&|| format!("monitor deferred {:?}; falling back to Wing-Gong", spec.kind()));
             }
         }
-        MonitorOutcome::Violation => Verdict::NotLinearizable,
-        MonitorOutcome::Deferred => {
-            // Transpose once and hand the arena straight to the search: the
-            // decision — including every parallel worker it spawns — shares
-            // this single read-only extraction.
-            let arena = HistoryArena::from_history(history);
-            wing_gong::check_arena_with(spec, &arena, cfg)
-        }
     }
+    // Transpose once and hand the arena straight to the search: the
+    // decision — including every parallel worker it spawns — shares this
+    // single read-only extraction.
+    let arena = HistoryArena::from_history(history);
+    let Some(obs) = obs else {
+        return (wing_gong::decide::<false>(spec, &arena, free, cfg).0, true);
+    };
+    // The instrumented search: fold its `SearchStats` into the registry.
+    let (verdict, stats) = wing_gong::decide::<true>(spec, &arena, free, cfg);
+    let r = &obs.metrics;
+    r.counter("check.fallback.runs").inc();
+    r.counter("check.fallback.nodes").add(stats.nodes);
+    r.counter("check.fallback.memo_hits").add(stats.memo_hits);
+    r.counter("check.fallback.memo_inserts").add(stats.memo_inserts);
+    r.counter("check.par.workers").add(stats.workers);
+    r.counter("check.par.steals").add(stats.steals);
+    r.counter("check.par.memo_shards").add(stats.memo_shards);
+    r.counter("check.par.cancelled").add(stats.cancelled);
+    let frontier = r.histogram("check.frontier_size", &FRONTIER_BUCKETS);
+    for (i, &n) in stats.frontier_sizes.iter().enumerate() {
+        // Fold pre-bucketed counts in at each bucket's upper bound (overflow
+        // at one past the last bound).
+        let v = FRONTIER_BUCKETS.get(i).copied().unwrap_or_else(|| FRONTIER_BUCKETS[i - 1] + 1);
+        frontier.observe_n(v, n);
+    }
+    note(&|| {
+        format!(
+            "Wing-Gong fallback: {} after {} nodes (memo hit rate {}, max frontier {})",
+            match &verdict {
+                Verdict::Linearizable(_) => "linearizable",
+                Verdict::NotLinearizable => "NOT linearizable",
+                Verdict::Unknown => "unknown (budget exhausted)",
+            },
+            stats.nodes,
+            stats.memo_hit_rate().map_or_else(|| "n/a".to_string(), |x| format!("{:.2}", x)),
+            stats.max_frontier,
+        )
+    });
+    (verdict, true)
 }
 
 /// Decide linearizability of a history *with pending operations*
@@ -134,13 +233,10 @@ pub fn check_fast_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: Check
 ///   response carries no state information) and responds at the history
 ///   horizon, the most permissive choice;
 /// * pending **mixed** (or unknown) operations are tried both removed and
-///   included with a **free** response: the general search
-///   ([`wing_gong::check_free_with`]) accepts whatever response the
-///   specification produces at each tried position, which exhaustively covers
-///   every concrete response value a completion could assign. With
-///   [`CheckConfig::mixed_completion`] off, these ops fall back to the old
-///   pure-mutator-only rule and force [`Verdict::Unknown`] when dropping
-///   them fails.
+///   included with a **free** response: the general search accepts whatever
+///   response the specification produces at each tried position, which
+///   exhaustively covers every concrete response value a completion could
+///   assign.
 ///
 /// The enumeration is bounded by [`CheckConfig::max_pending_candidates`]
 /// (`2^k` sub-checks); beyond it only the all-removed completion is tried, so
@@ -154,34 +250,26 @@ pub fn check_fast_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: Check
 /// `NotLinearizable` is only returned when *every* completion was enumerated
 /// and refuted.
 pub fn check_fast_pending(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory) -> Verdict {
-    check_fast_pending_with(spec, ph, CheckConfig::default())
+    decide_pending(spec, ph, CheckConfig::default(), None)
 }
 
-/// [`check_fast_pending`] with an explicit fallback node budget.
-pub fn check_fast_pending_with(
-    spec: &Arc<dyn ObjectSpec>,
-    ph: &PendingHistory,
-    cfg: CheckConfig,
-) -> Verdict {
-    check_fast_pending_impl(spec, ph, cfg, None)
-}
-
-/// [`check_fast_pending_with`] with checker observability: in addition to
-/// everything [`check_fast_observed`] records for each enumerated
-/// completion, the counter `check.pending.budget_exhausted` is bumped
-/// whenever [`CheckConfig::max_pending_candidates`] forces an
+/// [`check_fast_pending`] with an explicit configuration and checker
+/// observability: in addition to everything [`check_fast_with`] records for
+/// each enumerated completion, the counter `check.pending.budget_exhausted`
+/// is bumped whenever [`CheckConfig::max_pending_candidates`] forces an
 /// [`Verdict::Unknown`] that full enumeration might have decided — making
 /// silent budget degradation visible in metrics snapshots.
-pub fn check_fast_pending_observed(
+pub fn check_fast_pending_with(
     spec: &Arc<dyn ObjectSpec>,
     ph: &PendingHistory,
     cfg: CheckConfig,
     obs: &Obs,
 ) -> Verdict {
-    check_fast_pending_impl(spec, ph, cfg, obs.is_active().then_some(obs))
+    decide_pending(spec, ph, cfg, obs.is_active().then_some(obs))
 }
 
-fn check_fast_pending_impl(
+/// The body of both pending entry points; `obs` is `Some` only when active.
+pub(crate) fn decide_pending(
     spec: &Arc<dyn ObjectSpec>,
     ph: &PendingHistory,
     cfg: CheckConfig,
@@ -213,11 +301,7 @@ fn check_fast_pending_impl(
     if candidates.len() > cfg.max_pending_candidates {
         // Too many completions to enumerate: only the all-removed one is
         // tried, so a positive verdict survives but refutation cannot.
-        let check_complete = match obs {
-            Some(o) => check_fast_observed(spec, &ph.complete, cfg, o),
-            None => check_fast_with(spec, &ph.complete, cfg),
-        };
-        return match check_complete {
+        return match decide_fast(spec, &ph.complete, None, cfg, obs).0 {
             Verdict::Linearizable(w) => Verdict::Linearizable(w),
             _ => {
                 if let Some(o) = obs {
@@ -293,9 +377,7 @@ fn check_fast_pending_impl(
 
 /// Decide one completion of the pending history: include exactly the
 /// candidates selected by `mask`, fabricate their responses, and check the
-/// extended history. Returns [`Verdict::Unknown`] for completions the
-/// configuration refuses to fabricate (mixed ops with
-/// [`CheckConfig::mixed_completion`] off).
+/// extended history.
 fn eval_completion(
     spec: &Arc<dyn ObjectSpec>,
     ph: &PendingHistory,
@@ -314,10 +396,6 @@ fn eval_completion(
         }
         let is_pure_mutator =
             spec.op_meta(p.invocation.op).is_some_and(|m| m.class == OpClass::PureMutator);
-        if !is_pure_mutator && !cfg.mixed_completion {
-            // Legacy rule: no sound return value can be fabricated.
-            return Verdict::Unknown;
-        }
         // A pure mutator's return is state-independent: read it off a
         // fresh object. For a mixed/unknown op the same value is a mere
         // placeholder — the op is marked free and the search accepts
@@ -331,126 +409,12 @@ fn eval_completion(
         });
         appended_free.push(!is_pure_mutator);
     }
-    if appended_free.contains(&true) {
-        // Free ops bypass the monitors (their placeholder responses would
-        // mislead witness construction): decide with the general search.
+    let free = appended_free.contains(&true).then(|| {
         let mut free = vec![false; ph.complete.len()];
         free.extend_from_slice(&appended_free);
-        wing_gong::check_free_with(spec, &h, &free, cfg)
-    } else {
-        match obs {
-            Some(o) => check_fast_observed(spec, &h, cfg, o),
-            None => check_fast_with(spec, &h, cfg),
-        }
-    }
-}
-
-/// [`check_fast_with`] with checker observability: monitor fast-path hits
-/// vs Wing–Gong fallbacks, memo hit rate, frontier-size histogram, and
-/// witness replay time land in `obs.metrics` under `check.*`, and each
-/// decision phase emits an [`EventCategory::CheckPhase`] trace event.
-///
-/// With an inactive bundle this is exactly [`check_fast_with`] — same
-/// verdicts, same cost — so callers can thread one `Obs` unconditionally.
-pub fn check_fast_observed(
-    spec: &Arc<dyn ObjectSpec>,
-    history: &History,
-    cfg: CheckConfig,
-    obs: &Obs,
-) -> Verdict {
-    if !obs.is_active() {
-        return check_fast_with(spec, history, cfg);
-    }
-    // Check phases happen after the run; anchor them at the history's end so
-    // an interleaved trace reads chronologically.
-    let t_end = history.ops.iter().map(|o| o.t_respond.0).max().unwrap_or(0);
-    obs.emit(t_end, None, EventCategory::CheckPhase, || {
-        format!("dispatch: {:?} history of {} ops", spec.kind(), history.len())
+        free
     });
-    if history.is_empty() {
-        return Verdict::Linearizable(Vec::new());
-    }
-    let r = &obs.metrics;
-    match dispatch_monitor(spec, history, cfg) {
-        MonitorOutcome::Witness(order) => {
-            let t0 = std::time::Instant::now();
-            let ok = verify_witness(spec, history, &order);
-            let replay_us = t0.elapsed().as_micros() as u64;
-            r.histogram("check.witness_replay_micros", &[10, 100, 1_000, 10_000])
-                .observe(replay_us);
-            if ok {
-                r.counter("check.monitor.witnesses").inc();
-                obs.emit(t_end, None, EventCategory::CheckPhase, || {
-                    format!("monitor witness verified by replay in {replay_us}us")
-                });
-                Verdict::Linearizable(order)
-            } else {
-                debug_assert!(false, "monitor produced an invalid witness");
-                r.counter("check.monitor.invalid_witnesses").inc();
-                obs.emit(t_end, None, EventCategory::CheckPhase, || {
-                    "monitor witness FAILED replay; deciding with the general search".to_string()
-                });
-                observed_fallback(spec, history, cfg, obs, t_end)
-            }
-        }
-        MonitorOutcome::Violation => {
-            r.counter("check.monitor.violations").inc();
-            obs.emit(t_end, None, EventCategory::CheckPhase, || {
-                "monitor violation certificate: not linearizable".to_string()
-            });
-            Verdict::NotLinearizable
-        }
-        MonitorOutcome::Deferred => {
-            r.counter("check.monitor.deferred").inc();
-            obs.emit(t_end, None, EventCategory::CheckPhase, || {
-                format!("monitor deferred {:?}; falling back to Wing-Gong", spec.kind())
-            });
-            observed_fallback(spec, history, cfg, obs, t_end)
-        }
-    }
-}
-
-/// Run the instrumented Wing–Gong search and fold its [`SearchStats`] into
-/// the registry.
-fn observed_fallback(
-    spec: &Arc<dyn ObjectSpec>,
-    history: &History,
-    cfg: CheckConfig,
-    obs: &Obs,
-    t_end: i64,
-) -> Verdict {
-    let arena = HistoryArena::from_history(history);
-    let (verdict, stats) = wing_gong::check_arena_with_stats(spec, &arena, cfg);
-    let r = &obs.metrics;
-    r.counter("check.fallback.runs").inc();
-    r.counter("check.fallback.nodes").add(stats.nodes);
-    r.counter("check.fallback.memo_hits").add(stats.memo_hits);
-    r.counter("check.fallback.memo_inserts").add(stats.memo_inserts);
-    r.counter("check.par.workers").add(stats.workers);
-    r.counter("check.par.steals").add(stats.steals);
-    r.counter("check.par.memo_shards").add(stats.memo_shards);
-    r.counter("check.par.cancelled").add(stats.cancelled);
-    let frontier = r.histogram("check.frontier_size", &FRONTIER_BUCKETS);
-    for (i, &n) in stats.frontier_sizes.iter().enumerate() {
-        // Fold pre-bucketed counts in at each bucket's upper bound (overflow
-        // at one past the last bound).
-        let v = FRONTIER_BUCKETS.get(i).copied().unwrap_or_else(|| FRONTIER_BUCKETS[i - 1] + 1);
-        frontier.observe_n(v, n);
-    }
-    obs.emit(t_end, None, EventCategory::CheckPhase, || {
-        format!(
-            "Wing-Gong fallback: {} after {} nodes (memo hit rate {}, max frontier {})",
-            match &verdict {
-                Verdict::Linearizable(_) => "linearizable",
-                Verdict::NotLinearizable => "NOT linearizable",
-                Verdict::Unknown => "unknown (budget exhausted)",
-            },
-            stats.nodes,
-            stats.memo_hit_rate().map_or_else(|| "n/a".to_string(), |x| format!("{:.2}", x)),
-            stats.max_frontier,
-        )
-    });
-    verdict
+    decide_fast(spec, &h, free.as_deref(), cfg, obs).0
 }
 
 /// True iff `order` is a permutation of the history that respects real-time
@@ -742,7 +706,7 @@ mod tests {
             (0, OpInstance::new("write", 1, ()), 0, 10),
             (1, OpInstance::new("read", (), 1), 20, 30),
         ]);
-        assert!(check_fast_observed(&reg, &fast, cfg, &obs).is_linearizable());
+        assert!(check_fast_with(&reg, &fast, cfg, &obs).is_linearizable());
         assert_eq!(obs.metrics.counter("check.monitor.witnesses").get(), 1);
         assert_eq!(obs.metrics.counter("check.fallback.runs").get(), 0);
 
@@ -751,7 +715,7 @@ mod tests {
             (0, OpInstance::new("write", 1, ()), 0, 1),
             (1, OpInstance::new("write", 1, ()), 2, 3),
         ]);
-        assert!(check_fast_observed(&reg, &dup, cfg, &obs).is_linearizable());
+        assert!(check_fast_with(&reg, &dup, cfg, &obs).is_linearizable());
         assert_eq!(obs.metrics.counter("check.monitor.deferred").get(), 1);
         assert_eq!(obs.metrics.counter("check.fallback.runs").get(), 1);
         assert!(obs.metrics.counter("check.fallback.nodes").get() > 0);
@@ -764,7 +728,7 @@ mod tests {
 
         // Inactive bundle: pure pass-through, nothing recorded.
         let off = Obs::off();
-        assert!(check_fast_observed(&reg, &fast, cfg, &off).is_linearizable());
+        assert!(check_fast_with(&reg, &fast, cfg, &off).is_linearizable());
         assert_eq!(off.metrics.counter("check.monitor.witnesses").get(), 0);
     }
 
@@ -811,10 +775,6 @@ mod tests {
             malformed: 0,
         };
         assert!(check_fast_pending(&rmw_spec, &mixed).is_linearizable());
-        // With mixed completion off (the legacy pure-mutator-only rule), the
-        // same history degrades to Unknown instead of deciding.
-        let legacy = CheckConfig { mixed_completion: false, ..CheckConfig::default() };
-        assert_eq!(check_fast_pending_with(&rmw_spec, &mixed, legacy), Verdict::Unknown);
         // An unexplainable read stays a sound refutation even when the free
         // search gets to try the mixed op at every position: rmw(2) on any
         // reachable state never leaves the register at 5.
@@ -889,7 +849,7 @@ mod tests {
         // The cap is configuration, not a constant: raising it lets the
         // checker decide the history the default budget gave up on.
         let raised = CheckConfig { max_pending_candidates: 9, ..CheckConfig::default() };
-        assert!(check_fast_pending_with(&spec, &needs, raised).is_linearizable());
+        assert!(check_fast_pending_with(&spec, &needs, raised, &Obs::off()).is_linearizable());
     }
 
     #[test]
@@ -915,13 +875,49 @@ mod tests {
         let cfg = CheckConfig::default();
         // 9 candidates > budget 8, and the all-removed completion is refuted:
         // the forced Unknown bumps the budget counter.
-        assert_eq!(check_fast_pending_observed(&spec, &ph, cfg, &obs), Verdict::Unknown);
+        assert_eq!(check_fast_pending_with(&spec, &ph, cfg, &obs), Verdict::Unknown);
         assert_eq!(obs.metrics.counter("check.pending.budget_exhausted").get(), 1);
         // Within budget, nothing is counted even when the verdict is Unknown
         // for other reasons elsewhere; here the decided verdict counts 0.
         let raised = CheckConfig { max_pending_candidates: 9, ..cfg };
-        assert!(check_fast_pending_observed(&spec, &ph, raised, &obs).is_linearizable());
+        assert!(check_fast_pending_with(&spec, &ph, raised, &obs).is_linearizable());
         assert_eq!(obs.metrics.counter("check.pending.budget_exhausted").get(), 1);
+    }
+
+    #[test]
+    fn observed_free_completion_records_its_fallback() {
+        use crate::history::{PendingHistory, PendingOp};
+        use lintime_sim::time::Pid;
+
+        // enqueue(7), enqueue(8), then dequeue -> 8: legal only if the
+        // pending dequeue took effect and consumed 7. The all-removed
+        // completion is refuted by the queue monitor; the completion that
+        // includes the dequeue has a free response, so only the search can
+        // decide it — and the observed check must show that search.
+        let spec = erase(FifoQueue::new());
+        let ph = PendingHistory {
+            complete: h(vec![
+                (0, OpInstance::new("enqueue", 7, ()), 0, 10),
+                (0, OpInstance::new("enqueue", 8, ()), 20, 30),
+                (1, OpInstance::new("dequeue", (), 8), 40, 50),
+            ]),
+            pending: vec![PendingOp {
+                pid: Pid(2),
+                invocation: Invocation::nullary("dequeue"),
+                t_invoke: Time(15),
+                may_have_effect: true,
+            }],
+            horizon: Time(60),
+            malformed: 0,
+        };
+        let (obs, _ring) = Obs::ring(16);
+        let cfg = CheckConfig::default();
+        assert!(check_fast_pending_with(&spec, &ph, cfg, &obs).is_linearizable());
+        assert_eq!(obs.metrics.counter("check.monitor.violations").get(), 1);
+        assert_eq!(obs.metrics.counter("check.fallback.runs").get(), 1);
+        assert!(obs.metrics.counter("check.fallback.nodes").get() > 0);
+        // A free completion is not a monitor deferral.
+        assert_eq!(obs.metrics.counter("check.monitor.deferred").get(), 0);
     }
 
     #[test]
@@ -943,7 +939,7 @@ mod tests {
         assert_eq!(check_fast_pending(&spec, &ph), Verdict::Unknown);
         let (obs, _ring) = Obs::ring(16);
         assert_eq!(
-            check_fast_pending_observed(&spec, &ph, CheckConfig::default(), &obs),
+            check_fast_pending_with(&spec, &ph, CheckConfig::default(), &obs),
             Verdict::Unknown
         );
         assert_eq!(obs.metrics.counter("check.pending.malformed_degraded").get(), 1);
@@ -990,11 +986,11 @@ mod tests {
         for threads in [1, 2, 4] {
             let cfg = CheckConfig { threads, ..CheckConfig::default() };
             assert!(
-                check_fast_pending_with(&spec, &ok, cfg).is_linearizable(),
+                check_fast_pending_with(&spec, &ok, cfg, &Obs::off()).is_linearizable(),
                 "{threads} threads"
             );
             assert_eq!(
-                check_fast_pending_with(&spec, &bad, cfg),
+                check_fast_pending_with(&spec, &bad, cfg, &Obs::off()),
                 Verdict::NotLinearizable,
                 "{threads} threads"
             );

@@ -13,7 +13,7 @@
 //!
 //! Completed operations accumulate in a **window** — a compacting ring of
 //! [`TimedOp`]s held in response order (the streaming analogue of the
-//! grow-only [`crate::arena::HistoryArena`] columns: the window is the one
+//! grow-only struct-of-arrays history arena columns: the window is the one
 //! live arena segment, and garbage collection retires settled segments from
 //! the front). Invocations without a response yet live in a per-process
 //! pending table. Periodically the checker attempts a **flush**:
@@ -60,10 +60,9 @@
 //! budget exhaustion — degrades to [`StreamVerdict::Unknown`] and stays
 //! there.
 
-use crate::arena::HistoryArena;
 use crate::history::{History, PendingHistory, PendingOp, TimedOp};
-use crate::monitor::{self, verify_witness, MonitorOutcome};
-use crate::wing_gong::{self, CheckConfig, Verdict};
+use crate::monitor;
+use crate::wing_gong::{CheckConfig, Verdict};
 use lintime_adt::spec::{Invocation, ObjState, ObjectSpec, OpInstance, OpMeta, SpecKind};
 use lintime_adt::value::Value;
 use lintime_obs::{Counter, Gauge, Obs, TraceEvent};
@@ -550,7 +549,7 @@ impl StreamChecker {
             if let Some(m) = &self.metrics {
                 m.fallbacks.inc();
             }
-            match monitor::check_fast_pending_with(&self.seeded, &ph, self.cfg.check) {
+            match monitor::decide_pending(&self.seeded, &ph, self.cfg.check, None) {
                 Verdict::Linearizable(_) => {}
                 Verdict::NotLinearizable => {
                     self.verdict =
@@ -663,41 +662,25 @@ impl StreamChecker {
     /// prefix. Sets the sticky verdict on refutation or budget exhaustion.
     fn decide_prefix(&mut self, k: usize, gc: bool) {
         let hist = History { ops: self.window[..k].to_vec() };
-        let outcome = monitor::dispatch_monitor(&self.seeded, &hist, self.cfg.check);
-        let order = match outcome {
-            MonitorOutcome::Witness(order) if verify_witness(&self.seeded, &hist, &order) => {
-                Some(order)
+        let (verdict, fell_back) =
+            monitor::decide_fast(&self.seeded, &hist, None, self.cfg.check, None);
+        if fell_back {
+            // Ambiguous window: a bounded offline Wing–Gong re-check ran.
+            self.stats.fallbacks += 1;
+            if let Some(m) = &self.metrics {
+                m.fallbacks.inc();
             }
-            MonitorOutcome::Violation => {
+        }
+        let order = match verdict {
+            Verdict::Linearizable(order) => order,
+            Verdict::NotLinearizable => {
                 self.verdict = StreamVerdict::Violation(ViolationEvidence { window: hist });
                 self.die();
                 return;
             }
-            // An unverifiable witness is a monitor bug, not a verdict; treat
-            // it like a deferral.
-            MonitorOutcome::Witness(_) | MonitorOutcome::Deferred => None,
-        };
-        let order = match order {
-            Some(order) => order,
-            None => {
-                // Ambiguous window: bounded offline Wing–Gong re-check.
-                self.stats.fallbacks += 1;
-                if let Some(m) = &self.metrics {
-                    m.fallbacks.inc();
-                }
-                let arena = HistoryArena::from_history(&hist);
-                match wing_gong::check_arena_with(&self.seeded, &arena, self.cfg.check) {
-                    Verdict::Linearizable(order) => order,
-                    Verdict::NotLinearizable => {
-                        self.verdict = StreamVerdict::Violation(ViolationEvidence { window: hist });
-                        self.die();
-                        return;
-                    }
-                    Verdict::Unknown => {
-                        self.degrade(UnknownReason::FallbackBudget);
-                        return;
-                    }
-                }
+            Verdict::Unknown => {
+                self.degrade(UnknownReason::FallbackBudget);
+                return;
             }
         };
         // Certified. Snapshot for audit before the base state advances.
@@ -941,6 +924,7 @@ pub fn replay_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::verify_witness;
     use lintime_adt::prelude::*;
 
     /// Feed a complete op as invoke+respond.

@@ -14,7 +14,7 @@
 //!
 //! ## Hot-path engineering
 //!
-//! The search runs over the shared read-only [`HistoryArena`] (struct-of-
+//! The search runs over the shared read-only `HistoryArena` (struct-of-
 //! arrays columns plus precomputed sort orders) and keeps the per-node cost
 //! flat:
 //!
@@ -116,12 +116,6 @@ pub struct CheckConfig {
     /// checker degrades to [`Verdict::Unknown`] rather than silently
     /// guessing. See [`crate::monitor::check_fast_pending`].
     pub max_pending_candidates: usize,
-    /// Complete pending *mixed* operations (CAS, dequeue, pop) through the
-    /// free-response search ([`check_free_with`]) instead of bailing to
-    /// [`Verdict::Unknown`]. On by default; turning it off restores the
-    /// pure-mutator-only completion rule (useful for measuring how much of
-    /// the `Unknown` bucket the search empties).
-    pub mixed_completion: bool,
     /// Worker threads for the parallel search. `0` (the default) resolves to
     /// [`std::thread::available_parallelism`]; `1` forces the sequential
     /// search. Parallelism only engages for histories longer than
@@ -132,12 +126,7 @@ pub struct CheckConfig {
 
 impl Default for CheckConfig {
     fn default() -> Self {
-        CheckConfig {
-            max_nodes: 5_000_000,
-            max_pending_candidates: 8,
-            mixed_completion: true,
-            threads: 0,
-        }
+        CheckConfig { max_nodes: 5_000_000, max_pending_candidates: 8, threads: 0 }
     }
 }
 
@@ -163,19 +152,21 @@ pub fn check(spec: &Arc<dyn ObjectSpec>, history: &History) -> Verdict {
     check_with(spec, history, CheckConfig::default())
 }
 
-/// Upper bounds of the frontier-size histogram collected by
-/// [`check_with_stats`]; sizes above the last bound land in the implicit
-/// overflow bucket of [`SearchStats::frontier_sizes`].
+/// Upper bounds of the `check.frontier_size` histogram the observed checker
+/// records from each fallback search; sizes above the last bound land in the
+/// overflow bucket.
 pub const FRONTIER_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// Search statistics collected by [`check_with_stats`].
+/// Search statistics, collected when the observed checker
+/// ([`crate::monitor::check_fast_with`] with an active `Obs`) falls back to
+/// the search and folded into its `check.fallback.*` / `check.par.*` metrics.
 ///
 /// These are plain local counters — no atomics, no locks (parallel workers
 /// each keep their own copy, merged after the search) — so collecting them
 /// costs a handful of register increments per node; [`check_with`] compiles
 /// them out entirely via a const-generic flag.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SearchStats {
+pub(crate) struct SearchStats {
     /// Search nodes expanded (states entered, summed across workers).
     pub nodes: u64,
     /// Prefixes pruned because `(done set, object state)` was already
@@ -863,9 +854,21 @@ fn parallel<const STATS: bool>(
     (verdict, stats)
 }
 
-/// Dispatch a decision over an already-built arena: sequential for small
-/// histories or `threads <= 1`, parallel otherwise.
-fn decide<const STATS: bool>(
+/// Decide linearizability over an already-built arena: sequential for small
+/// histories or `threads <= 1`, parallel otherwise. `STATS = false` compiles
+/// every stats update out of the hot loop.
+///
+/// `free[i] == true` marks op `i`'s recorded return value as a placeholder:
+/// any response the specification produces is accepted. This decides
+/// Herlihy–Wing completions of pending operations whose response depends on
+/// unknowable state (mixed ops like CAS, dequeue, pop): a completion with
+/// *some* concrete response linearizes iff this search finds an order,
+/// because a deterministic specification produces exactly one response per
+/// (state, op) pair and the search tries every admissible position.
+/// `NotLinearizable` therefore refutes **every** response assignment for the
+/// marked ops, and a witness's free-op responses are whatever replaying the
+/// witness order yields.
+pub(crate) fn decide<const STATS: bool>(
     spec: &Arc<dyn ObjectSpec>,
     arena: &HistoryArena,
     free: Option<&[bool]>,
@@ -900,62 +903,7 @@ fn decide<const STATS: bool>(
 
 /// [`check`] with an explicit configuration.
 pub fn check_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: CheckConfig) -> Verdict {
-    // STATS = false compiles every stats update out of the hot loop.
     decide::<false>(spec, &HistoryArena::from_history(history), None, cfg).0
-}
-
-/// [`check_with`] over a pre-built [`HistoryArena`], so callers that already
-/// transposed the history (e.g. the monitor dispatcher) do not pay a second
-/// extraction.
-pub fn check_arena_with(
-    spec: &Arc<dyn ObjectSpec>,
-    arena: &HistoryArena,
-    cfg: CheckConfig,
-) -> Verdict {
-    decide::<false>(spec, arena, None, cfg).0
-}
-
-/// [`check_with`] over a history whose marked operations have **free**
-/// responses: `free[i] == true` means op `i`'s recorded return value is a
-/// placeholder and any response the specification produces is accepted.
-///
-/// This decides Herlihy–Wing completions of pending operations whose
-/// response value depends on unknowable state (mixed ops like CAS, dequeue,
-/// pop): a completion with *some* concrete response linearizes iff this
-/// search finds an order, because a deterministic specification produces
-/// exactly one response per (state, op) pair and the search tries every
-/// admissible position. `NotLinearizable` therefore refutes **every**
-/// response assignment for the marked ops, and a returned witness's free-op
-/// responses are whatever replaying the witness order yields.
-pub fn check_free_with(
-    spec: &Arc<dyn ObjectSpec>,
-    history: &History,
-    free: &[bool],
-    cfg: CheckConfig,
-) -> Verdict {
-    assert_eq!(free.len(), history.len(), "free mask must cover the history");
-    decide::<false>(spec, &HistoryArena::from_history(history), Some(free), cfg).0
-}
-
-/// [`check_with`] plus [`SearchStats`] describing the search that produced
-/// the verdict. Slightly slower than [`check_with`] (a few register
-/// increments per node); use it when the numbers matter, not on the
-/// benchmarked default path.
-pub fn check_with_stats(
-    spec: &Arc<dyn ObjectSpec>,
-    history: &History,
-    cfg: CheckConfig,
-) -> (Verdict, SearchStats) {
-    decide::<true>(spec, &HistoryArena::from_history(history), None, cfg)
-}
-
-/// [`check_with_stats`] over a pre-built [`HistoryArena`].
-pub fn check_arena_with_stats(
-    spec: &Arc<dyn ObjectSpec>,
-    arena: &HistoryArena,
-    cfg: CheckConfig,
-) -> (Verdict, SearchStats) {
-    decide::<true>(spec, arena, None, cfg)
 }
 
 #[cfg(test)]
@@ -968,6 +916,18 @@ mod tests {
 
     fn inst(op: &'static str, arg: impl Into<Value>, ret: impl Into<Value>) -> OpInstance {
         OpInstance::new(op, arg, ret)
+    }
+
+    fn check_free(spec: &Arc<dyn ObjectSpec>, h: &History, free: &[bool]) -> Verdict {
+        decide::<false>(spec, &HistoryArena::from_history(h), Some(free), CheckConfig::default()).0
+    }
+
+    fn check_stats(
+        spec: &Arc<dyn ObjectSpec>,
+        h: &History,
+        cfg: CheckConfig,
+    ) -> (Verdict, SearchStats) {
+        decide::<true>(spec, &HistoryArena::from_history(h), None, cfg)
     }
 
     #[test]
@@ -1127,7 +1087,7 @@ mod tests {
         ]);
         assert_eq!(check(&spec, &h), Verdict::NotLinearizable);
         let free = [false, true];
-        assert!(check_free_with(&spec, &h, &free, CheckConfig::default()).is_linearizable());
+        assert!(check_free(&spec, &h, &free).is_linearizable());
         // A free op still cannot repair an unrelated contradiction.
         let bad = History::from_tuples(vec![
             (0, inst("enqueue", 1, ()), 0, 10),
@@ -1135,10 +1095,7 @@ mod tests {
             (2, inst("peek", (), 7), 40, 50), // queue is empty after dequeue
         ]);
         let free = [false, true, false];
-        assert_eq!(
-            check_free_with(&spec, &bad, &free, CheckConfig::default()),
-            Verdict::NotLinearizable
-        );
+        assert_eq!(check_free(&spec, &bad, &free), Verdict::NotLinearizable);
     }
 
     #[test]
@@ -1151,17 +1108,14 @@ mod tests {
             (1, inst("read", (), 5), 10, 20),
         ]);
         let free = [true, false];
-        assert!(check_free_with(&spec, &h, &free, CheckConfig::default()).is_linearizable());
+        assert!(check_free(&spec, &h, &free).is_linearizable());
         // Bound, with the wrong recorded ret, it is refuted.
         let bound = [false, false];
         let h2 = History::from_tuples(vec![
             (0, inst("rmw", 5, 1), 0, 100), // rmw on 0 returns 0, not 1
             (1, inst("read", (), 5), 10, 20),
         ]);
-        assert_eq!(
-            check_free_with(&spec, &h2, &bound, CheckConfig::default()),
-            Verdict::NotLinearizable
-        );
+        assert_eq!(check_free(&spec, &h2, &bound), Verdict::NotLinearizable);
     }
 
     /// A queue history whose dequeues force at least one backtrack (so the
@@ -1185,7 +1139,7 @@ mod tests {
         let spec = erase(FifoQueue::new());
         let h = backtracking_queue_history(6);
         let cfg = CheckConfig { threads: 1, ..CheckConfig::default() };
-        let (verdict, stats) = check_with_stats(&spec, &h, cfg);
+        let (verdict, stats) = check_stats(&spec, &h, cfg);
         assert_eq!(verdict, check_with(&spec, &h, cfg), "stats must not change the verdict");
         assert!(verdict.is_linearizable());
         assert!(stats.nodes > 0);
@@ -1301,29 +1255,10 @@ mod tests {
         let spec = erase(FifoQueue::new());
         let h = backtracking_queue_history(8);
         let cfg = CheckConfig { threads: 2, ..CheckConfig::default() };
-        let (verdict, stats) = check_with_stats(&spec, &h, cfg);
+        let (verdict, stats) = check_stats(&spec, &h, cfg);
         assert!(verdict.is_linearizable());
         assert_eq!(stats.workers, 2);
         assert_eq!(stats.memo_shards, MEMO_SHARDS as u64);
         assert!(stats.nodes > 0);
-    }
-
-    #[test]
-    fn arena_entry_point_matches_history_entry_point() {
-        let spec = erase(FifoQueue::new());
-        for h in [
-            backtracking_queue_history(5),
-            History::from_tuples(vec![
-                (0, inst("enqueue", 1, ()), 0, 10),
-                (1, inst("dequeue", (), 2), 20, 30),
-            ]),
-        ] {
-            let arena = HistoryArena::from_history(&h);
-            let cfg = CheckConfig { threads: 1, ..CheckConfig::default() };
-            assert_eq!(check_arena_with(&spec, &arena, cfg), check_with(&spec, &h, cfg));
-            let (v1, _) = check_arena_with_stats(&spec, &arena, cfg);
-            let (v2, _) = check_with_stats(&spec, &h, cfg);
-            assert_eq!(v1, v2);
-        }
     }
 }

@@ -11,10 +11,13 @@
 //!   random returns; the checkers must still agree (usually, but not always,
 //!   on `NotLinearizable`).
 //!
-//! Every `Linearizable` verdict's witness is additionally replay-verified.
+//! Every `Linearizable` verdict's witness is additionally replay-verified,
+//! and an observed check (active `Obs`) must return exactly the verdict —
+//! witness included — of the unobserved one.
 
 use lintime_adt::prelude::*;
 use lintime_check::prelude::*;
+use lintime_obs::Obs;
 use lintime_sim::rng::SplitMix64;
 use std::sync::Arc;
 
@@ -128,6 +131,15 @@ fn assert_agreement(spec: &Arc<dyn ObjectSpec>, h: &History, label: &str) {
             );
         }
     }
+    // Instrumentation never changes what it observes. Sequential search,
+    // so the witness itself is deterministic and comparable.
+    let seq = CheckConfig { threads: 1, ..CheckConfig::default() };
+    let (obs, _ring) = Obs::ring(64);
+    assert_eq!(
+        check_fast_with(spec, h, seq, &obs),
+        check_fast_with(spec, h, seq, &Obs::off()),
+        "{label}: observed and unobserved verdicts differ\n{h:?}"
+    );
 }
 
 fn run_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64) {

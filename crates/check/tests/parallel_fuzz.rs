@@ -18,6 +18,7 @@
 use lintime_adt::prelude::*;
 use lintime_check::prelude::*;
 use lintime_check::wing_gong::PARALLEL_MIN_OPS;
+use lintime_obs::Obs;
 use lintime_sim::rng::SplitMix64;
 use lintime_sim::time::{Pid, Time};
 use std::sync::Arc;
@@ -152,7 +153,8 @@ fn assert_pending_agreement(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory, lab
     let verdicts: Vec<Verdict> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            check_fast_pending_with(spec, ph, CheckConfig { threads, ..CheckConfig::default() })
+            let cfg = CheckConfig { threads, ..CheckConfig::default() };
+            check_fast_pending_with(spec, ph, cfg, &Obs::off())
         })
         .collect();
     for (threads, v) in THREAD_COUNTS.iter().zip(&verdicts) {

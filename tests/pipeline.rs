@@ -268,7 +268,6 @@ fn closed_loop_back_to_back_operations() {
 }
 
 #[test]
-#[ignore = "soak: 100-seed randomized sweep; run with --include-ignored"]
 fn linearizability_soak() {
     let p = params();
     for spec in all_types() {

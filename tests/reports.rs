@@ -104,7 +104,6 @@ fn workload_mix_extension() {
 }
 
 #[test]
-#[ignore = "slow: full lower-bound sweeps; run with --ignored or --include-ignored"]
 fn lower_bound_crossovers() {
     // The report asserts internally that violations occur exactly below each
     // bound.
