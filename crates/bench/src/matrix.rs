@@ -13,8 +13,9 @@
 //! * **communication cost** — protocol messages and estimated wire bytes
 //!   per completed operation, plus quorum round trips for the MR register;
 //! * **verdicts** — every non-truncated run's history (pending operations
-//!   included) is fed through the pending-aware checker
-//!   ([`lintime_check::monitor::check_fast_pending`]).
+//!   included) is fed through the checker, which decides Herlihy–Wing
+//!   completions of the pending ones
+//!   ([`lintime_check::monitor::check_fast_with`]).
 //!
 //! Each backend *declares* the fault classes it tolerates
 //! ([`Backend::tolerance`]); a `NotLinearizable` verdict on a non-suspect
@@ -26,7 +27,7 @@ use crate::sweep::parallel_map;
 use lintime_adt::spec::{erase, Invocation, ObjectSpec, OpClass};
 use lintime_adt::types::{Counter, FifoQueue, KvStore, Register};
 use lintime_check::history::History;
-use lintime_check::monitor::check_fast_pending_with;
+use lintime_check::monitor::check_fast_with;
 use lintime_check::wing_gong::{CheckConfig, Verdict};
 use lintime_core::backend::{run_backend, Backend, FaultTolerance};
 use lintime_core::cluster::Algorithm;
@@ -494,7 +495,7 @@ pub(crate) fn matrix_cell_for(
     let run = &out.run;
 
     let verdict = History::from_run_with_pending(run)
-        .map(|ph| check_fast_pending_with(&spec, &ph, CheckConfig::default(), obs));
+        .map(|h| check_fast_with(&spec, &h, CheckConfig::default(), obs));
     let by_class = run.crashed_pending_by_class(spec.as_ref());
     cell.ops_total = run.ops.len() as u64;
     cell.ops_completed = run.completed().count() as u64;

@@ -403,7 +403,11 @@ fn consume(
         }
     }
     let (verdict, stats) = checker.finish();
-    Consumed { verdict, stats, history: keep.then_some(History { ops: kept }) }
+    Consumed {
+        verdict,
+        stats,
+        history: keep.then_some(History { ops: kept, ..History::default() }),
+    }
 }
 
 /// Shared latency histograms (handles are atomics; one registration, many

@@ -17,6 +17,7 @@
 //! contiguous `i64` arrays the prefetcher can stream, and the done-set
 //! machinery operates on [`BitSet`] words instead of per-op edge lists.
 
+#[cfg(test)]
 use crate::bitset::BitSet;
 use crate::history::History;
 use lintime_adt::value::Value;
@@ -88,7 +89,9 @@ impl HistoryArena {
 
     /// The real-time predecessor sets: bit `j` of entry `i` is set iff op `j`
     /// responded strictly before op `i` was invoked (so `j` must precede `i`
-    /// in every linearization).
+    /// in every linearization). The search never materializes these — its
+    /// prefix frontiers read the same relation off the two sort orders — so
+    /// the sweep is test-only: it pins those sort orders to the definition.
     ///
     /// Computed with a two-pointer sweep over the precomputed sort orders:
     /// ops are visited in invocation order while a running "responded so far"
@@ -96,6 +99,7 @@ impl HistoryArena {
     /// each op's predecessor set is a word-level copy of that accumulator.
     /// No per-edge work: `O(n²/64)` words moved in the worst case, and the
     /// accumulator updates are single bit sets.
+    #[cfg(test)]
     pub fn predecessor_sets(&self) -> Vec<BitSet> {
         let n = self.len();
         let mut sets: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
@@ -142,19 +146,27 @@ mod tests {
 
     #[test]
     fn predecessor_sets_match_definition() {
-        let h = History::from_tuples(vec![
-            (0, inst("a"), 0, 10),
-            (1, inst("b"), 5, 40),
-            (2, inst("c"), 12, 20),
-            (3, inst("d"), 25, 30),
-            (4, inst("e"), 25, 35),
-            (5, inst("f"), 50, 60),
-        ]);
-        let sets = HistoryArena::from_history(&h).predecessor_sets();
-        for (i, set) in sets.iter().enumerate() {
-            let naive: Vec<usize> =
-                (0..h.len()).filter(|&j| j != i && h.ops[j].precedes(&h.ops[i])).collect();
-            assert_eq!(set.ones().collect::<Vec<_>>(), naive, "op {i}");
+        // Nesting, overlap, and strict sequencing; then intervals that touch
+        // (b invoked at the very tick a responds: not preceded).
+        let histories = [
+            vec![
+                (0, inst("a"), 0, 10),
+                (1, inst("b"), 5, 40),
+                (2, inst("c"), 12, 20),
+                (3, inst("d"), 25, 30),
+                (4, inst("e"), 25, 35),
+                (5, inst("f"), 50, 60),
+            ],
+            vec![(0, inst("a"), 0, 10), (1, inst("b"), 10, 20), (2, inst("c"), 11, 30)],
+        ];
+        for tuples in histories {
+            let h = History::from_tuples(tuples);
+            let sets = HistoryArena::from_history(&h).predecessor_sets();
+            for (i, set) in sets.iter().enumerate() {
+                let naive: Vec<usize> =
+                    (0..h.len()).filter(|&j| j != i && h.ops[j].precedes(&h.ops[i])).collect();
+                assert_eq!(set.ones().collect::<Vec<_>>(), naive, "op {i}");
+            }
         }
     }
 

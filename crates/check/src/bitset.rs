@@ -34,6 +34,7 @@ impl BitSet {
     }
 
     /// In-place union: `self |= other`. Capacities must match.
+    #[cfg(test)]
     pub fn union_with(&mut self, other: &BitSet) {
         debug_assert_eq!(self.len, other.len);
         for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
@@ -44,6 +45,7 @@ impl BitSet {
     /// Iterate the indices of set bits in ascending order, consuming one
     /// word at a time (each word costs one trailing-zero count per set bit,
     /// not 64 probes).
+    #[cfg(test)]
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             std::iter::successors((w != 0).then_some(w), |rest| {

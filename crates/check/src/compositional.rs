@@ -101,12 +101,16 @@ impl ShardVerdicts {
 /// Check a product-typed history one component at a time.
 ///
 /// Every operation name must be namespaced (`"prefix/op"`) and resolvable in
-/// `product`; returns `Err` otherwise.
+/// `product`, and the history must be complete (no pending operations or
+/// malformed records); returns `Err` otherwise.
 pub fn check_components(
     product: &ProductSpec,
     history: &History,
     cfg: CheckConfig,
 ) -> Result<ComponentVerdicts, String> {
+    if !history.pending.is_empty() || history.malformed > 0 {
+        return Err("per-component checking needs a complete history".to_string());
+    }
     // Bucket ops per component, translating names into the component's own
     // static operation names.
     let mut buckets: BTreeMap<&'static str, History> = BTreeMap::new();
@@ -180,6 +184,16 @@ mod tests {
         let v = check_components(&p, &h, CheckConfig::default()).unwrap();
         assert!(v.is_linearizable());
         assert_eq!(v.components.len(), 2);
+        // Per-component checking does not enumerate completions: a history
+        // with a pending op is refused, never silently checked without it.
+        let mut pending = h.clone();
+        pending.pending.push(crate::history::PendingOp {
+            pid: lintime_sim::time::Pid(4),
+            invocation: lintime_adt::spec::Invocation::new(ns(&p, "reg/write"), 6),
+            t_invoke: lintime_sim::time::Time(25),
+            may_have_effect: true,
+        });
+        assert!(check_components(&p, &pending, CheckConfig::default()).is_err());
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //!   settled prefixes at canonical cuts, keep resident memory flat over
 //!   arbitrarily long traces.
 //!
-//! The offline checker has eight entry points: [`wing_gong::check`] and
-//! [`wing_gong::check_with`] (the general search), [`monitor::check_fast`],
-//! [`monitor::check_fast_with`], [`monitor::check_fast_pending`] and
-//! [`monitor::check_fast_pending_with`] (the monitor fast path, complete or
-//! with pending operations; the `_with` forms take a [`wing_gong::CheckConfig`]
-//! and a `lintime_obs::Obs`), [`stream::replay_run`], and
+//! There is one history type, [`history::History`]: completed operations
+//! plus a column of pending ones. The offline checker has six entry points,
+//! all of which decide Herlihy–Wing completions whenever that column is
+//! non-empty (or refuse the history): [`wing_gong::check`] and
+//! [`wing_gong::check_with`] (the general search), [`monitor::check_fast`]
+//! and [`monitor::check_fast_with`] (the monitor fast path; the `_with` form
+//! takes a `lintime_obs::Obs`), [`stream::replay_run`], and
 //! [`compositional::check_components`]. Internally every check shares one
 //! struct-of-arrays history arena (timestamps, sort orders, and payload
 //! columns built once per decision, read by all parallel search workers).
@@ -47,11 +48,8 @@ pub mod wing_gong;
 /// Convenient re-exports of the most-used items.
 pub mod prelude {
     pub use crate::compositional::{check_components, ComponentVerdicts, ShardVerdicts};
-    pub use crate::history::{History, LossyDrops, PendingHistory, PendingOp, TimedOp};
-    pub use crate::monitor::{
-        check_fast, check_fast_pending, check_fast_pending_with, check_fast_with, verify_witness,
-        MonitorOutcome,
-    };
+    pub use crate::history::{History, PendingOp, TimedOp};
+    pub use crate::monitor::{check_fast, check_fast_with, verify_witness, MonitorOutcome};
     pub use crate::stream::{
         replay_run, StreamChecker, StreamConfig, StreamStats, StreamVerdict, UnknownReason,
     };

@@ -21,6 +21,7 @@
 
 use super::register::{cluster_check, RwKind, RwOp};
 use super::{Frontier, MonitorOutcome};
+use crate::arena::HistoryArena;
 use crate::history::History;
 use crate::wing_gong::{self, CheckConfig, Verdict};
 use lintime_adt::spec::{ObjectSpec, SpecKind};
@@ -77,8 +78,9 @@ fn check_key(
     }
     // Per-key general search. The sub-history is a valid history of the full
     // type (ops on other keys cannot affect this key's returns).
-    let sub = History { ops: idxs.iter().map(|&i| history.ops[i].clone()).collect() };
-    match wing_gong::check_with(spec, &sub, cfg) {
+    let ops = idxs.iter().map(|&i| history.ops[i].clone()).collect();
+    let sub = History { ops, ..History::default() };
+    match wing_gong::decide::<false>(spec, &HistoryArena::from_history(&sub), None, cfg).0 {
         Verdict::Linearizable(local) => Ok(local.into_iter().map(|l| idxs[l]).collect()),
         Verdict::NotLinearizable => Err(MonitorOutcome::Violation),
         Verdict::Unknown => Err(MonitorOutcome::Deferred),

@@ -36,7 +36,7 @@ pub mod queue_like;
 pub mod register;
 
 use crate::arena::HistoryArena;
-use crate::history::{History, PendingHistory, PendingOp, TimedOp};
+use crate::history::{History, PendingOp, TimedOp};
 use crate::wing_gong::{self, CheckConfig, Verdict, FRONTIER_BUCKETS};
 use lintime_adt::spec::{ObjectSpec, OpClass, OpInstance, SpecKind};
 use lintime_obs::{EventCategory, Obs};
@@ -63,17 +63,58 @@ pub enum MonitorOutcome {
 /// applies and falling back to the Wing–Gong search otherwise.
 ///
 /// Verdict semantics are identical to [`wing_gong::check`]: the two are
-/// interchangeable, and [`Verdict::Unknown`] can only arise from the
-/// fallback path's node budget.
+/// interchangeable. On a complete history [`Verdict::Unknown`] can only
+/// arise from the fallback path's node budget; a history containing an
+/// operation that responds before its own invocation is a recorder defect,
+/// not a history, and always gets `Unknown`.
+///
+/// # Pending operations
+///
+/// A history with pending operations (or `malformed > 0`) is decided in the
+/// Herlihy–Wing sense: it is linearizable iff **some completion** is — where
+/// a completion removes each pending operation or extends it with a
+/// response. The enumeration is kept sound and small:
+///
+/// * pending ops with `may_have_effect == false` are removed outright (their
+///   absence of effect is proven, e.g. invoked at/after the process crash);
+/// * pending **pure accessors** are removed: they never change state, so
+///   including them can neither enable nor break any other operation;
+/// * pending **pure mutators** are tried both removed and included. An
+///   included one gets its class-constant return value (a pure mutator's
+///   response carries no state information) and responds at
+///   [`History::horizon`], the most permissive choice;
+/// * pending **mixed** (or unknown) operations are tried both removed and
+///   included with a **free** response: the general search accepts whatever
+///   response the specification produces at each tried position, which
+///   exhaustively covers every concrete response value a completion could
+///   assign.
+///
+/// The enumeration is bounded by [`CheckConfig::max_pending_candidates`]
+/// (`2^k` sub-checks); beyond it only the all-removed completion is tried, so
+/// a positive verdict survives but refutation degrades to
+/// [`Verdict::Unknown`]. Refutations also degrade to `Unknown` when
+/// `malformed > 0`: a lost record might have explained the history.
+///
+/// `Linearizable` carries a witness into the chosen completion's operation
+/// array (completed ops first, then included pending ops in candidate
+/// order); a free-completed op's fabricated `ret` is a placeholder — its
+/// actual response is whatever replaying the witness order yields.
+/// `NotLinearizable` is only returned when *every* completion was enumerated
+/// and refuted.
 pub fn check_fast(spec: &Arc<dyn ObjectSpec>, history: &History) -> Verdict {
-    decide_fast(spec, history, None, CheckConfig::default(), None).0
+    let cfg = CheckConfig::default();
+    route(spec, history, cfg, None, || decide_fast(spec, history, None, cfg, None).0)
 }
 
 /// [`check_fast`] with an explicit configuration and checker observability:
 /// monitor fast-path hits vs Wing–Gong fallbacks, memo hit rate,
 /// frontier-size histogram, and witness replay time land in `obs.metrics`
 /// under `check.*`, and each decision phase emits an
-/// [`EventCategory::CheckPhase`] trace event.
+/// [`EventCategory::CheckPhase`] trace event. On a history with pending
+/// operations everything is recorded for each enumerated completion, and the
+/// counter `check.pending.budget_exhausted` is bumped whenever
+/// [`CheckConfig::max_pending_candidates`] forces an [`Verdict::Unknown`]
+/// that full enumeration might have decided.
 ///
 /// With an inactive bundle ([`Obs::off`]) nothing is recorded — same
 /// verdicts, same cost — so callers can thread one `Obs` unconditionally.
@@ -83,7 +124,28 @@ pub fn check_fast_with(
     cfg: CheckConfig,
     obs: &Obs,
 ) -> Verdict {
-    decide_fast(spec, history, None, cfg, obs.is_active().then_some(obs)).0
+    let obs = obs.is_active().then_some(obs);
+    route(spec, history, cfg, obs, || decide_fast(spec, history, None, cfg, obs).0)
+}
+
+/// The guard every public entry point shares: `Unknown` for a history with
+/// an inverted interval (one linear scan), the completion search for one
+/// with pending ops or malformed records, and `complete` otherwise — so a
+/// complete history reaches its decision without any copy.
+pub(crate) fn route(
+    spec: &Arc<dyn ObjectSpec>,
+    history: &History,
+    cfg: CheckConfig,
+    obs: Option<&Obs>,
+    complete: impl FnOnce() -> Verdict,
+) -> Verdict {
+    if history.ops.iter().any(|o| o.t_respond < o.t_invoke) {
+        Verdict::Unknown
+    } else if history.pending.is_empty() && history.malformed == 0 {
+        complete()
+    } else {
+        decide_pending(spec, history, cfg, obs)
+    }
 }
 
 /// Route a history to the specialized monitor for its [`SpecKind`], if any.
@@ -92,6 +154,7 @@ pub(crate) fn dispatch_monitor(
     history: &History,
     cfg: CheckConfig,
 ) -> MonitorOutcome {
+    debug_assert!(history.pending.is_empty(), "monitors take complete histories");
     match spec.kind() {
         SpecKind::Register => register::monitor(spec, history),
         // An RMW-register history without actual `rmw` instances is a plain
@@ -122,6 +185,7 @@ pub(crate) fn decide_fast(
     cfg: CheckConfig,
     obs: Option<&Obs>,
 ) -> (Verdict, bool) {
+    debug_assert!(history.pending.is_empty(), "decide_fast takes complete histories");
     // Check phases happen after the run; anchor them at the history's end so
     // an interleaved trace reads chronologically.
     let t_end = obs.map_or(0, |_| history.ops.iter().map(|o| o.t_respond.0).max().unwrap_or(0));
@@ -217,70 +281,20 @@ pub(crate) fn decide_fast(
     (verdict, true)
 }
 
-/// Decide linearizability of a history *with pending operations*
-/// (Herlihy–Wing completions): a pending-aware [`check_fast`].
-///
-/// A history with pending operations is linearizable iff **some completion**
-/// is — where a completion removes each pending operation or extends it with
-/// a response. The enumeration is kept sound and small:
-///
-/// * pending ops with `may_have_effect == false` are removed outright (their
-///   absence of effect is proven, e.g. invoked at/after the process crash);
-/// * pending **pure accessors** are removed: they never change state, so
-///   including them can neither enable nor break any other operation;
-/// * pending **pure mutators** are tried both removed and included. An
-///   included one gets its class-constant return value (a pure mutator's
-///   response carries no state information) and responds at the history
-///   horizon, the most permissive choice;
-/// * pending **mixed** (or unknown) operations are tried both removed and
-///   included with a **free** response: the general search accepts whatever
-///   response the specification produces at each tried position, which
-///   exhaustively covers every concrete response value a completion could
-///   assign.
-///
-/// The enumeration is bounded by [`CheckConfig::max_pending_candidates`]
-/// (`2^k` sub-checks); beyond it only the all-removed completion is tried, so
-/// a positive verdict survives but refutation degrades to
-/// [`Verdict::Unknown`].
-///
-/// `Linearizable` carries a witness into the chosen completion's operation
-/// array (completed ops first, then included pending ops in candidate
-/// order); a free-completed op's fabricated `ret` is a placeholder — its
-/// actual response is whatever replaying the witness order yields.
-/// `NotLinearizable` is only returned when *every* completion was enumerated
-/// and refuted.
-pub fn check_fast_pending(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory) -> Verdict {
-    decide_pending(spec, ph, CheckConfig::default(), None)
-}
-
-/// [`check_fast_pending`] with an explicit configuration and checker
-/// observability: in addition to everything [`check_fast_with`] records for
-/// each enumerated completion, the counter `check.pending.budget_exhausted`
-/// is bumped whenever [`CheckConfig::max_pending_candidates`] forces an
-/// [`Verdict::Unknown`] that full enumeration might have decided — making
-/// silent budget degradation visible in metrics snapshots.
-pub fn check_fast_pending_with(
-    spec: &Arc<dyn ObjectSpec>,
-    ph: &PendingHistory,
-    cfg: CheckConfig,
-    obs: &Obs,
-) -> Verdict {
-    decide_pending(spec, ph, cfg, obs.is_active().then_some(obs))
-}
-
-/// The body of both pending entry points; `obs` is `Some` only when active.
+/// The completion search behind [`check_fast`]'s pending semantics; `obs`
+/// is `Some` only when active.
 pub(crate) fn decide_pending(
     spec: &Arc<dyn ObjectSpec>,
-    ph: &PendingHistory,
+    h: &History,
     cfg: CheckConfig,
     obs: Option<&Obs>,
 ) -> Verdict {
-    // Ill-formed records (see `PendingHistory::malformed`) were dropped from
-    // the complete part but are neither completed nor completable pending
-    // ops; a refutation over the remainder could be an artifact of the loss,
-    // so it degrades to Unknown at the end.
+    // Ill-formed records (see `History::malformed`) were dropped during
+    // extraction but are neither completed nor completable pending ops; a
+    // refutation over the remainder could be an artifact of the loss, so it
+    // degrades to Unknown at the end.
     let taint = |verdict: Verdict| match verdict {
-        Verdict::NotLinearizable if ph.malformed > 0 => {
+        Verdict::NotLinearizable if h.malformed > 0 => {
             if let Some(o) = obs {
                 o.metrics.counter("check.pending.malformed_degraded").inc();
             }
@@ -290,7 +304,7 @@ pub(crate) fn decide_pending(
     };
     // Candidates that must be *tried* as included: possibly-effective
     // mutators (unknown operations conservatively count as mutators).
-    let candidates: Vec<&PendingOp> = ph
+    let candidates: Vec<&PendingOp> = h
         .pending
         .iter()
         .filter(|p| {
@@ -301,7 +315,7 @@ pub(crate) fn decide_pending(
     if candidates.len() > cfg.max_pending_candidates {
         // Too many completions to enumerate: only the all-removed one is
         // tried, so a positive verdict survives but refutation cannot.
-        return match decide_fast(spec, &ph.complete, None, cfg, obs).0 {
+        return match eval_completion(spec, h, cfg, obs, &[], 0) {
             Verdict::Linearizable(w) => Verdict::Linearizable(w),
             _ => {
                 if let Some(o) = obs {
@@ -336,7 +350,7 @@ pub(crate) fn decide_pending(
                         if mask >= masks {
                             break;
                         }
-                        match eval_completion(spec, ph, inner, None, candidates, mask) {
+                        match eval_completion(spec, h, inner, None, candidates, mask) {
                             Verdict::Linearizable(w) => {
                                 let mut slot = witness.lock().unwrap();
                                 if slot.is_none() {
@@ -362,7 +376,7 @@ pub(crate) fn decide_pending(
 
     let mut any_unknown = false;
     for mask in 0..masks {
-        match eval_completion(spec, ph, cfg, obs, &candidates, mask) {
+        match eval_completion(spec, h, cfg, obs, &candidates, mask) {
             Verdict::Linearizable(w) => return Verdict::Linearizable(w),
             Verdict::Unknown => any_unknown = true,
             Verdict::NotLinearizable => {}
@@ -377,18 +391,19 @@ pub(crate) fn decide_pending(
 
 /// Decide one completion of the pending history: include exactly the
 /// candidates selected by `mask`, fabricate their responses, and check the
-/// extended history.
+/// extended (complete) history.
 fn eval_completion(
     spec: &Arc<dyn ObjectSpec>,
-    ph: &PendingHistory,
+    ph: &History,
     cfg: CheckConfig,
     obs: Option<&Obs>,
     candidates: &[&PendingOp],
     mask: u64,
 ) -> Verdict {
-    let mut h = ph.complete.clone();
+    let horizon = ph.horizon();
+    let mut h = History { ops: ph.ops.clone(), ..History::default() };
     // Free-response marks for the ops appended by this completion
-    // (parallel to `h.ops[ph.complete.len()..]`).
+    // (parallel to `h.ops[ph.len()..]`).
     let mut appended_free = Vec::new();
     for (i, p) in candidates.iter().enumerate() {
         if mask & (1 << i) == 0 {
@@ -405,12 +420,12 @@ fn eval_completion(
             pid: p.pid,
             instance: OpInstance { op: p.invocation.op, arg: p.invocation.arg.clone(), ret },
             t_invoke: p.t_invoke,
-            t_respond: ph.horizon.max(p.t_invoke),
+            t_respond: horizon,
         });
         appended_free.push(!is_pure_mutator);
     }
     let free = appended_free.contains(&true).then(|| {
-        let mut free = vec![false; ph.complete.len()];
+        let mut free = vec![false; ph.len()];
         free.extend_from_slice(&appended_free);
         free
     });
@@ -496,6 +511,10 @@ mod tests {
 
     fn h(tuples: Vec<(usize, OpInstance, i64, i64)>) -> History {
         History::from_tuples(tuples)
+    }
+
+    fn ops(tuples: Vec<(usize, OpInstance, i64, i64)>) -> Vec<TimedOp> {
+        History::from_tuples(tuples).ops
     }
 
     #[test]
@@ -734,79 +753,75 @@ mod tests {
 
     #[test]
     fn pending_checker_enumerates_completions() {
-        use crate::history::{PendingHistory, PendingOp};
+        use crate::history::PendingOp;
         use lintime_sim::time::Pid;
 
         let spec = erase(Register::new(0));
         // Completed: a read that saw 5. Pending: the write(5) whose response
         // was lost. Dropping the write refutes the read; including it (the
         // only other completion) linearizes.
-        let ph = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 5), 10, 20)]),
+        let ph = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 5), 10, 20)]),
             pending: vec![PendingOp {
                 pid: Pid(0),
                 invocation: Invocation::new("write", 5),
                 t_invoke: Time(0),
                 may_have_effect: true,
             }],
-            horizon: Time(30),
             malformed: 0,
         };
-        assert!(check_fast_pending(&spec, &ph).is_linearizable());
+        assert!(check_fast(&spec, &ph).is_linearizable());
 
         // Same history, but the write provably never executed: the read of 5
         // is unexplainable and the verdict is a sound refutation.
         let mut dead = ph.clone();
         dead.pending[0].may_have_effect = false;
-        assert_eq!(check_fast_pending(&spec, &dead), Verdict::NotLinearizable);
+        assert_eq!(check_fast(&spec, &dead), Verdict::NotLinearizable);
 
         // A pending *mixed* op is completed through the free-response
         // search: including the rmw(5) (fetch-add on 0) explains read -> 5.
         let rmw_spec = erase(RmwRegister::new(0));
-        let mixed = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 5), 10, 20)]),
+        let mixed = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 5), 10, 20)]),
             pending: vec![PendingOp {
                 pid: Pid(0),
                 invocation: Invocation::new("rmw", 5),
                 t_invoke: Time(0),
                 may_have_effect: true,
             }],
-            horizon: Time(30),
             malformed: 0,
         };
-        assert!(check_fast_pending(&rmw_spec, &mixed).is_linearizable());
+        assert!(check_fast(&rmw_spec, &mixed).is_linearizable());
         // An unexplainable read stays a sound refutation even when the free
         // search gets to try the mixed op at every position: rmw(2) on any
         // reachable state never leaves the register at 5.
-        let refuted = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 5), 10, 20)]),
+        let refuted = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 5), 10, 20)]),
             pending: vec![PendingOp {
                 pid: Pid(0),
                 invocation: Invocation::new("rmw", 2),
                 t_invoke: Time(0),
                 may_have_effect: true,
             }],
-            horizon: Time(30),
             malformed: 0,
         };
-        assert_eq!(check_fast_pending(&rmw_spec, &refuted), Verdict::NotLinearizable);
+        assert_eq!(check_fast(&rmw_spec, &refuted), Verdict::NotLinearizable);
 
         // No pending ops at all: plain check_fast semantics.
-        let clean = PendingHistory {
-            complete: h(vec![
+        let clean = History {
+            ops: ops(vec![
                 (0, OpInstance::new("write", 7, ()), 0, 5),
                 (1, OpInstance::new("read", (), 7), 6, 9),
             ]),
             pending: vec![],
-            horizon: Time(9),
             malformed: 0,
         };
-        assert!(check_fast_pending(&spec, &clean).is_linearizable());
+        assert!(check_fast(&spec, &clean).is_linearizable());
     }
 
     #[test]
     fn pending_checker_caps_enumeration() {
-        use crate::history::{PendingHistory, PendingOp};
+        use crate::history::PendingOp;
         use lintime_sim::time::Pid;
 
         let spec = erase(Register::new(0));
@@ -822,44 +837,41 @@ mod tests {
         };
         // Over the cap with an un-refutable complete part: Linearizable via
         // the all-removed completion, no enumeration needed.
-        let ok = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 0), 50, 60)]),
+        let ok = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 0), 50, 60)]),
             pending: many(9),
-            horizon: Time(60),
             malformed: 0,
         };
-        assert!(check_fast_pending(&spec, &ok).is_linearizable());
+        assert!(check_fast(&spec, &ok).is_linearizable());
         // Over the cap with a complete part that *needs* a pending write:
         // must degrade to Unknown, never claim a violation.
-        let needs = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 100), 50, 60)]),
+        let needs = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 100), 50, 60)]),
             pending: many(9),
-            horizon: Time(60),
             malformed: 0,
         };
-        assert_eq!(check_fast_pending(&spec, &needs), Verdict::Unknown);
+        assert_eq!(check_fast(&spec, &needs), Verdict::Unknown);
         // At the cap it enumerates and finds the completing subset.
-        let at_cap = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 100), 50, 60)]),
+        let at_cap = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 100), 50, 60)]),
             pending: many(8),
-            horizon: Time(60),
             malformed: 0,
         };
-        assert!(check_fast_pending(&spec, &at_cap).is_linearizable());
+        assert!(check_fast(&spec, &at_cap).is_linearizable());
         // The cap is configuration, not a constant: raising it lets the
         // checker decide the history the default budget gave up on.
         let raised = CheckConfig { max_pending_candidates: 9, ..CheckConfig::default() };
-        assert!(check_fast_pending_with(&spec, &needs, raised, &Obs::off()).is_linearizable());
+        assert!(check_fast_with(&spec, &needs, raised, &Obs::off()).is_linearizable());
     }
 
     #[test]
     fn pending_budget_exhaustion_is_counted() {
-        use crate::history::{PendingHistory, PendingOp};
+        use crate::history::PendingOp;
         use lintime_sim::time::Pid;
 
         let spec = erase(Register::new(0));
-        let ph = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 100), 50, 60)]),
+        let ph = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 100), 50, 60)]),
             pending: (0..9)
                 .map(|i| PendingOp {
                     pid: Pid(0),
@@ -868,25 +880,24 @@ mod tests {
                     may_have_effect: true,
                 })
                 .collect(),
-            horizon: Time(60),
             malformed: 0,
         };
         let (obs, _ring) = Obs::ring(16);
         let cfg = CheckConfig::default();
         // 9 candidates > budget 8, and the all-removed completion is refuted:
         // the forced Unknown bumps the budget counter.
-        assert_eq!(check_fast_pending_with(&spec, &ph, cfg, &obs), Verdict::Unknown);
+        assert_eq!(check_fast_with(&spec, &ph, cfg, &obs), Verdict::Unknown);
         assert_eq!(obs.metrics.counter("check.pending.budget_exhausted").get(), 1);
         // Within budget, nothing is counted even when the verdict is Unknown
         // for other reasons elsewhere; here the decided verdict counts 0.
         let raised = CheckConfig { max_pending_candidates: 9, ..cfg };
-        assert!(check_fast_pending_with(&spec, &ph, raised, &obs).is_linearizable());
+        assert!(check_fast_with(&spec, &ph, raised, &obs).is_linearizable());
         assert_eq!(obs.metrics.counter("check.pending.budget_exhausted").get(), 1);
     }
 
     #[test]
     fn observed_free_completion_records_its_fallback() {
-        use crate::history::{PendingHistory, PendingOp};
+        use crate::history::PendingOp;
         use lintime_sim::time::Pid;
 
         // enqueue(7), enqueue(8), then dequeue -> 8: legal only if the
@@ -895,8 +906,8 @@ mod tests {
         // includes the dequeue has a free response, so only the search can
         // decide it — and the observed check must show that search.
         let spec = erase(FifoQueue::new());
-        let ph = PendingHistory {
-            complete: h(vec![
+        let ph = History {
+            ops: ops(vec![
                 (0, OpInstance::new("enqueue", 7, ()), 0, 10),
                 (0, OpInstance::new("enqueue", 8, ()), 20, 30),
                 (1, OpInstance::new("dequeue", (), 8), 40, 50),
@@ -907,12 +918,11 @@ mod tests {
                 t_invoke: Time(15),
                 may_have_effect: true,
             }],
-            horizon: Time(60),
             malformed: 0,
         };
         let (obs, _ring) = Obs::ring(16);
         let cfg = CheckConfig::default();
-        assert!(check_fast_pending_with(&spec, &ph, cfg, &obs).is_linearizable());
+        assert!(check_fast_with(&spec, &ph, cfg, &obs).is_linearizable());
         assert_eq!(obs.metrics.counter("check.monitor.violations").get(), 1);
         assert_eq!(obs.metrics.counter("check.fallback.runs").get(), 1);
         assert!(obs.metrics.counter("check.fallback.nodes").get() > 0);
@@ -922,40 +932,33 @@ mod tests {
 
     #[test]
     fn pending_refutations_degrade_over_malformed_records() {
-        use crate::history::PendingHistory;
-
         let spec = erase(Register::new(0));
         // read -> 5 with nothing pending is a sound refutation...
-        let mut ph = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 5), 10, 20)]),
+        let mut ph = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 5), 10, 20)]),
             pending: vec![],
-            horizon: Time(30),
             malformed: 0,
         };
-        assert_eq!(check_fast_pending(&spec, &ph), Verdict::NotLinearizable);
+        assert_eq!(check_fast(&spec, &ph), Verdict::NotLinearizable);
         // ...unless the extraction also dropped an ill-formed record: the
         // lost op might have explained the read, so only Unknown is sound.
         ph.malformed = 1;
-        assert_eq!(check_fast_pending(&spec, &ph), Verdict::Unknown);
+        assert_eq!(check_fast(&spec, &ph), Verdict::Unknown);
         let (obs, _ring) = Obs::ring(16);
-        assert_eq!(
-            check_fast_pending_with(&spec, &ph, CheckConfig::default(), &obs),
-            Verdict::Unknown
-        );
+        assert_eq!(check_fast_with(&spec, &ph, CheckConfig::default(), &obs), Verdict::Unknown);
         assert_eq!(obs.metrics.counter("check.pending.malformed_degraded").get(), 1);
         // Positive verdicts stand: the witness is over the recorded ops.
-        let good = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 0), 10, 20)]),
+        let good = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 0), 10, 20)]),
             pending: vec![],
-            horizon: Time(30),
             malformed: 1,
         };
-        assert!(check_fast_pending(&spec, &good).is_linearizable());
+        assert!(check_fast(&spec, &good).is_linearizable());
     }
 
     #[test]
     fn pending_mask_sweep_parallel_matches_sequential() {
-        use crate::history::{PendingHistory, PendingOp};
+        use crate::history::PendingOp;
         use lintime_sim::time::Pid;
 
         let spec = erase(Register::new(0));
@@ -970,29 +973,67 @@ mod tests {
                 .collect()
         };
         // Linearizable only via the completion that includes write(103).
-        let ok = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 103), 50, 60)]),
+        let ok = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 103), 50, 60)]),
             pending: pending_writes(5),
-            horizon: Time(60),
             malformed: 0,
         };
         // Refuted by every one of the 2^5 completions.
-        let bad = PendingHistory {
-            complete: h(vec![(1, OpInstance::new("read", (), 999), 50, 60)]),
+        let bad = History {
+            ops: ops(vec![(1, OpInstance::new("read", (), 999), 50, 60)]),
             pending: pending_writes(5),
-            horizon: Time(60),
             malformed: 0,
         };
         for threads in [1, 2, 4] {
             let cfg = CheckConfig { threads, ..CheckConfig::default() };
             assert!(
-                check_fast_pending_with(&spec, &ok, cfg, &Obs::off()).is_linearizable(),
+                check_fast_with(&spec, &ok, cfg, &Obs::off()).is_linearizable(),
                 "{threads} threads"
             );
             assert_eq!(
-                check_fast_pending_with(&spec, &bad, cfg, &Obs::off()),
+                check_fast_with(&spec, &bad, cfg, &Obs::off()),
                 Verdict::NotLinearizable,
                 "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn inverted_intervals_are_never_decided() {
+        use crate::stream::{StreamChecker, StreamVerdict, UnknownReason};
+
+        // An op that responds before its own invocation: alone on a register,
+        // and as the enqueue a later dequeue observes. Every entry point must
+        // answer Unknown — the interval is a recorder defect, and the search
+        // and the monitors would otherwise disagree or forge a refutation.
+        let cases = [
+            (
+                "register",
+                erase(Register::new(0)),
+                h(vec![(0, OpInstance::new("write", 1, ()), 10, 5)]),
+            ),
+            (
+                "fifo",
+                erase(FifoQueue::new()),
+                h(vec![
+                    (0, OpInstance::new("enqueue", 1, ()), 10, 5),
+                    (1, OpInstance::new("dequeue", (), 1), 20, 30),
+                ]),
+            ),
+        ];
+        for (label, spec, hist) in cases {
+            assert_eq!(wing_gong::check(&spec, &hist), Verdict::Unknown, "{label}: check");
+            assert_eq!(check_fast(&spec, &hist), Verdict::Unknown, "{label}: check_fast");
+            let mut c = StreamChecker::new(&spec);
+            for op in &hist.ops {
+                let inst = &op.instance;
+                c.feed_invoke(op.pid, op.t_invoke, inst.op, inst.arg.clone());
+                c.feed_respond(op.pid, op.t_respond, inst.ret.clone());
+            }
+            let (verdict, _) = c.finish();
+            assert!(
+                matches!(verdict, StreamVerdict::Unknown(UnknownReason::MalformedStream)),
+                "{label}: stream gave {verdict:?}"
             );
         }
     }

@@ -60,12 +60,12 @@
 //! budget exhaustion — degrades to [`StreamVerdict::Unknown`] and stays
 //! there.
 
-use crate::history::{History, PendingHistory, PendingOp, TimedOp};
+use crate::history::{History, PendingOp, TimedOp};
 use crate::monitor;
 use crate::wing_gong::{CheckConfig, Verdict};
 use lintime_adt::spec::{Invocation, ObjState, ObjectSpec, OpInstance, OpMeta, SpecKind};
 use lintime_adt::value::Value;
-use lintime_obs::{Counter, Gauge, Obs, TraceEvent};
+use lintime_obs::{Counter, Gauge, Obs};
 use lintime_sim::engine::OpEvent;
 use lintime_sim::run::Run;
 use lintime_sim::time::{Pid, Time};
@@ -114,8 +114,8 @@ impl StreamVerdict {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnknownReason {
     /// The event stream itself was ill-formed: a response without a pending
-    /// invocation, a second invocation on a busy process, an unparseable
-    /// trace event, or a truncated run record.
+    /// invocation or timed before it, a second invocation on a busy process,
+    /// or a truncated run record.
     MalformedStream,
     /// The resident window exceeded [`StreamConfig::max_resident`] without a
     /// canonical settled cut to retire; the checker dropped its state rather
@@ -128,9 +128,11 @@ pub enum UnknownReason {
 }
 
 /// Evidence carried by [`StreamVerdict::Violation`]: the window that was
-/// refuted, as a standalone [`History`] in response order. The refutation is
-/// relative to the certified state carried into the window (the preceding
-/// settled prefixes), which the prior `Ok` flushes vouch for.
+/// refuted, as a standalone [`History`] in response order (plus the
+/// still-pending invocations when the refutation came at
+/// [`StreamChecker::finish`]). The refutation is relative to the certified
+/// state carried into the window (the preceding settled prefixes), which the
+/// prior `Ok` flushes vouch for.
 #[derive(Clone, Debug)]
 pub struct ViolationEvidence {
     /// The refuted window.
@@ -326,13 +328,6 @@ impl ObjectSpec for SeededSpec {
     }
 }
 
-/// An invocation awaiting its response.
-struct PendingSlot {
-    op: &'static str,
-    arg: Value,
-    t_invoke: Time,
-}
-
 /// The online checker: feed events, read the running verdict, [`finish`](StreamChecker::finish)
 /// (see [`StreamChecker::finish`]) for the final one.
 pub struct StreamChecker {
@@ -342,7 +337,7 @@ pub struct StreamChecker {
     cfg: StreamConfig,
     metrics: Option<StreamMetrics>,
     /// Pending invocation per process (indexed by pid).
-    pending: Vec<Option<PendingSlot>>,
+    pending: Vec<Option<PendingOp>>,
     pending_count: usize,
     /// Completed ops in response order (compacting ring: GC drains the
     /// settled front).
@@ -448,7 +443,9 @@ impl StreamChecker {
         if self.pending[pid.0].is_some() {
             return self.malformed();
         }
-        self.pending[pid.0] = Some(PendingSlot { op, arg, t_invoke: t });
+        let invocation = Invocation { op, arg };
+        self.pending[pid.0] =
+            Some(PendingOp { pid, invocation, t_invoke: t, may_have_effect: true });
         self.pending_count += 1;
         self.stats.peak_pending = self.stats.peak_pending.max(self.pending_count);
         self.note_resident();
@@ -465,6 +462,9 @@ impl StreamChecker {
             return self.malformed();
         };
         self.pending_count -= 1;
+        if t < slot.t_invoke {
+            return self.malformed();
+        }
         if let Some(last) = self.window.last() {
             if t < last.t_respond {
                 self.dirty = true;
@@ -472,7 +472,7 @@ impl StreamChecker {
         }
         self.window.push(TimedOp {
             pid,
-            instance: OpInstance { op: slot.op, arg: slot.arg, ret },
+            instance: OpInstance { op: slot.invocation.op, arg: slot.invocation.arg, ret },
             t_invoke: slot.t_invoke,
             t_respond: t,
         });
@@ -482,32 +482,6 @@ impl StreamChecker {
             self.maybe_flush();
         }
         &self.verdict
-    }
-
-    /// Feed a raw [`TraceEvent`] from the lintime-obs stream. Only the
-    /// engine's `OpInvoke`/`OpRespond` events are meaningful; anything else
-    /// is ignored. An unparseable operation event degrades the verdict to
-    /// [`UnknownReason::MalformedStream`] — honest, since the stream can no
-    /// longer be fully accounted for.
-    pub fn feed_trace_event(&mut self, ev: &TraceEvent) -> &StreamVerdict {
-        use lintime_obs::EventCategory;
-        match ev.category {
-            EventCategory::OpInvoke => {
-                let Some(pid) = ev.pid else { return self.malformed() };
-                match parse_invoke_detail(self.seeded.as_ref(), &ev.detail) {
-                    Some((op, arg)) => self.feed_invoke(Pid(pid), Time(ev.sim_time), op, arg),
-                    None => self.malformed(),
-                }
-            }
-            EventCategory::OpRespond => {
-                let Some(pid) = ev.pid else { return self.malformed() };
-                match parse_respond_detail(&ev.detail) {
-                    Some(ret) => self.feed_respond(Pid(pid), Time(ev.sim_time), ret),
-                    None => self.malformed(),
-                }
-            }
-            _ => &self.verdict,
-        }
     }
 
     /// Final verdict: decides whatever remains in the window, including
@@ -524,23 +498,9 @@ impl StreamChecker {
                 self.decide_prefix(k, false);
             }
         } else {
-            let pending: Vec<PendingOp> = self
-                .pending
-                .iter()
-                .enumerate()
-                .filter_map(|(pid, slot)| {
-                    slot.as_ref().map(|s| PendingOp {
-                        pid: Pid(pid),
-                        invocation: Invocation { op: s.op, arg: s.arg.clone() },
-                        t_invoke: s.t_invoke,
-                        may_have_effect: true,
-                    })
-                })
-                .collect();
-            let ph = PendingHistory {
-                complete: History { ops: std::mem::take(&mut self.window) },
-                pending,
-                horizon: self.max_t.max(Time(0)),
+            let h = History {
+                ops: std::mem::take(&mut self.window),
+                pending: std::mem::take(&mut self.pending).into_iter().flatten().collect(),
                 malformed: 0,
             };
             // An offline re-check of the live residue: count it like any
@@ -549,11 +509,10 @@ impl StreamChecker {
             if let Some(m) = &self.metrics {
                 m.fallbacks.inc();
             }
-            match monitor::decide_pending(&self.seeded, &ph, self.cfg.check, None) {
+            match monitor::decide_pending(&self.seeded, &h, self.cfg.check, None) {
                 Verdict::Linearizable(_) => {}
                 Verdict::NotLinearizable => {
-                    self.verdict =
-                        StreamVerdict::Violation(ViolationEvidence { window: ph.complete });
+                    self.verdict = StreamVerdict::Violation(ViolationEvidence { window: h });
                 }
                 Verdict::Unknown => {
                     self.verdict = StreamVerdict::Unknown(UnknownReason::FallbackBudget);
@@ -661,7 +620,7 @@ impl StreamChecker {
     /// `gc` set, replay the witness into the base state and retire the
     /// prefix. Sets the sticky verdict on refutation or budget exhaustion.
     fn decide_prefix(&mut self, k: usize, gc: bool) {
-        let hist = History { ops: self.window[..k].to_vec() };
+        let hist = History { ops: self.window[..k].to_vec(), ..History::default() };
         let (verdict, fell_back) =
             monitor::decide_fast(&self.seeded, &hist, None, self.cfg.check, None);
         if fell_back {
@@ -783,94 +742,6 @@ fn strict_last_write<'a>(mutators: impl Iterator<Item = (&'a TimedOp, bool)>) ->
     };
     *is_write
         && ms.iter().enumerate().all(|(i, (op, _))| i == last_idx || op.t_respond < last.t_invoke)
-}
-
-/// Parse an engine `OpInvoke` detail (`op(arg)` with [`Value`]'s `Debug`
-/// encoding) back into a static op name and argument. The name is resolved
-/// through the spec's op table, which owns the `'static` strings.
-fn parse_invoke_detail(spec: &dyn ObjectSpec, detail: &str) -> Option<(&'static str, Value)> {
-    let open = detail.find('(')?;
-    let name = &detail[..open];
-    let inner = detail[open + 1..].strip_suffix(')')?;
-    let op = spec.op_meta(name)?.name;
-    let (arg, rest) = parse_value(inner)?;
-    rest.is_empty().then_some((op, arg))
-}
-
-/// Parse an engine `OpRespond` detail (`op(arg) -> ret (latency ..)`) back
-/// into the response value.
-fn parse_respond_detail(detail: &str) -> Option<Value> {
-    let lat = detail.rfind(" (latency ")?;
-    let head = &detail[..lat];
-    let arrow = head.rfind(" -> ")?;
-    let (ret, rest) = parse_value(&head[arrow + 4..])?;
-    rest.is_empty().then_some(ret)
-}
-
-/// Recursive-descent parser for [`Value`]'s `Debug` encoding: `-`, `true`,
-/// integers, quoted strings, `(a, b)` pairs, `[a, b, ...]` lists. Returns
-/// the value and the unconsumed remainder.
-fn parse_value(s: &str) -> Option<(Value, &str)> {
-    let s = s.trim_start();
-    if let Some(rest) = s.strip_prefix('(') {
-        let (a, rest) = parse_value(rest)?;
-        let rest = rest.trim_start().strip_prefix(',')?;
-        let (b, rest) = parse_value(rest)?;
-        let rest = rest.trim_start().strip_prefix(')')?;
-        return Some((Value::pair(a, b), rest));
-    }
-    if let Some(mut rest) = s.strip_prefix('[') {
-        let mut items = Vec::new();
-        loop {
-            let trimmed = rest.trim_start();
-            if let Some(r) = trimmed.strip_prefix(']') {
-                return Some((Value::list(items), r));
-            }
-            if !items.is_empty() {
-                rest = trimmed.strip_prefix(',')?;
-            } else {
-                rest = trimmed;
-            }
-            let (v, r) = parse_value(rest)?;
-            items.push(v);
-            rest = r;
-        }
-    }
-    if let Some(rest) = s.strip_prefix('"') {
-        // Unescape the common cases of Rust's string Debug encoding.
-        let mut out = String::new();
-        let mut chars = rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => return Some((Value::Str(out), &rest[i + 1..])),
-                '\\' => match chars.next()?.1 {
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    'r' => out.push('\r'),
-                    other => out.push(other),
-                },
-                other => out.push(other),
-            }
-        }
-        return None;
-    }
-    if let Some(rest) = s.strip_prefix("true") {
-        return Some((Value::Bool(true), rest));
-    }
-    if let Some(rest) = s.strip_prefix("false") {
-        return Some((Value::Bool(false), rest));
-    }
-    // `-` alone is Unit; `-5` is an Int.
-    let end = s
-        .char_indices()
-        .take_while(|&(i, c)| c.is_ascii_digit() || (i == 0 && c == '-'))
-        .map(|(i, c)| i + c.len_utf8())
-        .last()?;
-    let tok = &s[..end];
-    if tok == "-" {
-        return Some((Value::Unit, &s[1..]));
-    }
-    tok.parse::<i64>().ok().map(|n| (Value::Int(n), &s[end..]))
 }
 
 /// Replay a recorded [`Run`] through a [`StreamChecker`] in event-time
@@ -1124,62 +995,6 @@ mod tests {
                 verify_witness(&cw.spec, &cw.window, &cw.order),
                 "certified window's witness must replay"
             );
-        }
-    }
-
-    #[test]
-    fn trace_event_adapter_round_trips_engine_format() {
-        use lintime_obs::EventCategory;
-        let spec = erase(FifoQueue::new());
-        let mut c = StreamChecker::new(&spec);
-        let ev = |t: i64, pid: usize, category, detail: String| TraceEvent {
-            sim_time: t,
-            wall_micros: 0,
-            pid: Some(pid),
-            category,
-            detail,
-        };
-        // Exactly the engine's formats: `{inv:?}` and `{inv:?} -> {ret:?}
-        // (latency ..)`.
-        let inv = Invocation::new("enqueue", 3);
-        c.feed_trace_event(&ev(0, 0, EventCategory::OpInvoke, format!("{inv:?}")));
-        c.feed_trace_event(&ev(
-            1,
-            0,
-            EventCategory::OpRespond,
-            format!("{inv:?} -> {:?} (latency 1)", Value::Unit),
-        ));
-        let deq = Invocation::new("dequeue", ());
-        c.feed_trace_event(&ev(2, 0, EventCategory::OpInvoke, format!("{deq:?}")));
-        c.feed_trace_event(&ev(
-            3,
-            0,
-            EventCategory::OpRespond,
-            format!("{deq:?} -> {:?} (latency 1)", Value::Int(3)),
-        ));
-        // Unrelated categories are ignored.
-        c.feed_trace_event(&ev(4, 0, EventCategory::Send, "noise".to_string()));
-        let (verdict, stats) = c.finish();
-        assert!(verdict.is_ok(), "got {verdict:?}");
-        assert_eq!(stats.ops, 2);
-    }
-
-    #[test]
-    fn value_debug_parser_round_trips() {
-        for v in [
-            Value::Unit,
-            Value::Bool(true),
-            Value::Int(-42),
-            Value::Int(7),
-            Value::Str("a b".to_string()),
-            Value::pair(1, Value::pair(2, 3)),
-            Value::list([Value::Int(1), Value::Unit, Value::pair(4, 5)]),
-            Value::list([]),
-        ] {
-            let s = format!("{v:?}");
-            let (parsed, rest) = parse_value(&s).unwrap_or_else(|| panic!("parse {s:?}"));
-            assert_eq!(parsed, v, "round-trip {s:?}");
-            assert!(rest.is_empty());
         }
     }
 

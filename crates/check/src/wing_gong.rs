@@ -114,7 +114,7 @@ pub struct CheckConfig {
     /// Pending completions are enumerated exhaustively for up to this many
     /// candidate operations (`2^k` sub-checks); beyond it the pending-aware
     /// checker degrades to [`Verdict::Unknown`] rather than silently
-    /// guessing. See [`crate::monitor::check_fast_pending`].
+    /// guessing. See [`crate::monitor::check_fast`].
     pub max_pending_candidates: usize,
     /// Worker threads for the parallel search. `0` (the default) resolves to
     /// [`std::thread::available_parallelism`]; `1` forces the sequential
@@ -147,7 +147,10 @@ impl CheckConfig {
 /// than the whole search.
 pub const PARALLEL_MIN_OPS: usize = 8;
 
-/// Check whether `history` is linearizable with respect to `spec`.
+/// Check whether `history` is linearizable with respect to `spec`. Pending
+/// operations are decided over completions exactly as by
+/// [`crate::monitor::check_fast`], and an inverted interval gives
+/// [`Verdict::Unknown`].
 pub fn check(spec: &Arc<dyn ObjectSpec>, history: &History) -> Verdict {
     check_with(spec, history, CheckConfig::default())
 }
@@ -903,7 +906,9 @@ pub(crate) fn decide<const STATS: bool>(
 
 /// [`check`] with an explicit configuration.
 pub fn check_with(spec: &Arc<dyn ObjectSpec>, history: &History, cfg: CheckConfig) -> Verdict {
-    decide::<false>(spec, &HistoryArena::from_history(history), None, cfg).0
+    crate::monitor::route(spec, history, cfg, None, || {
+        decide::<false>(spec, &HistoryArena::from_history(history), None, cfg).0
+    })
 }
 
 #[cfg(test)]

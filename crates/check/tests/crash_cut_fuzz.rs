@@ -58,16 +58,11 @@ fn permute(idx: &mut Vec<usize>, k: usize, found: &mut impl FnMut(&[usize]) -> b
 /// dequeue / peek, or a mutator's ack) plus every value ever enqueued in
 /// the history. Any legal queue linearization is confined to this set, so
 /// enumerating it makes the oracle complete for the fifo-queue spec.
-fn ret_domain(ph: &PendingHistory) -> Vec<Value> {
+fn ret_domain(h: &History) -> Vec<Value> {
     let mut domain = vec![Value::Unit];
-    let enq_args = ph
-        .complete
-        .ops
-        .iter()
-        .filter(|o| o.instance.op == "enqueue")
-        .map(|o| o.instance.arg.clone())
-        .chain(
-            ph.pending
+    let enq_args =
+        h.ops.iter().filter(|o| o.instance.op == "enqueue").map(|o| o.instance.arg.clone()).chain(
+            h.pending
                 .iter()
                 .filter(|p| p.invocation.op == "enqueue")
                 .map(|p| p.invocation.arg.clone()),
@@ -85,9 +80,9 @@ fn ret_domain(ph: &PendingHistory) -> Vec<Value> {
 /// permutation-check each resulting complete history. Pending operations
 /// proven effect-free (`may_have_effect == false`) are always dropped — no
 /// completion may include them.
-fn brute_force_pending(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory) -> bool {
-    let candidates: Vec<&PendingOp> = ph.pending.iter().filter(|p| p.may_have_effect).collect();
-    let domain = ret_domain(ph);
+fn brute_force_pending(spec: &Arc<dyn ObjectSpec>, h: &History) -> bool {
+    let candidates: Vec<&PendingOp> = h.pending.iter().filter(|p| p.may_have_effect).collect();
+    let domain = ret_domain(h);
     for mask in 0u64..(1 << candidates.len()) {
         let included: Vec<&PendingOp> = candidates
             .iter()
@@ -98,9 +93,9 @@ fn brute_force_pending(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory) -> bool 
         // Every assignment of responses to the included ops.
         let mut assignment = vec![0usize; included.len()];
         loop {
-            let mut h = ph.complete.clone();
+            let mut c = History { ops: h.ops.clone(), ..History::default() };
             for (p, &ri) in included.iter().zip(&assignment) {
-                h.ops.push(TimedOp {
+                c.ops.push(TimedOp {
                     pid: p.pid,
                     instance: OpInstance {
                         op: p.invocation.op,
@@ -108,10 +103,10 @@ fn brute_force_pending(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory) -> bool 
                         ret: domain[ri].clone(),
                     },
                     t_invoke: p.t_invoke,
-                    t_respond: ph.horizon.max(p.t_invoke),
+                    t_respond: h.horizon(),
                 });
             }
-            if brute_force_complete(spec, &h) {
+            if brute_force_complete(spec, &c) {
                 return true;
             }
             // Next assignment (odometer).
@@ -140,7 +135,7 @@ fn brute_force_pending(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory) -> bool 
 /// plus one to three pending operations across all classes — pure mutators
 /// (enqueue), mixed (dequeue), and pure accessors (peek). Deterministic in
 /// `seed`.
-fn arb_pending_history(seed: u64) -> PendingHistory {
+fn arb_pending_history(seed: u64) -> History {
     let mut rng = SplitMix64::seed_from_u64(seed ^ 0xC4A5_4C07);
     let n_complete = rng.gen_range(1usize..5);
     let mut tuples = Vec::new();
@@ -156,16 +151,15 @@ fn arb_pending_history(seed: u64) -> PendingHistory {
         };
         tuples.push((pid, instance, ti, ti + dur));
     }
-    let complete = History::from_tuples(tuples);
+    let mut h = History::from_tuples(tuples);
     let n_pending = rng.gen_range(1usize..4);
-    let mut pending = Vec::new();
     for _ in 0..n_pending {
         let inv = match rng.gen_range(0usize..3) {
             0 => Invocation::new("enqueue", rng.gen_range(1i64..4)),
             1 => Invocation::nullary("dequeue"),
             _ => Invocation::nullary("peek"),
         };
-        pending.push(PendingOp {
+        h.pending.push(PendingOp {
             pid: Pid(rng.gen_range(0usize..3)),
             invocation: inv,
             t_invoke: Time(rng.gen_range(0i64..80)),
@@ -174,7 +168,7 @@ fn arb_pending_history(seed: u64) -> PendingHistory {
             may_have_effect: rng.gen_range(0u32..4) != 0,
         });
     }
-    PendingHistory { complete, pending, horizon: Time(100), malformed: 0 }
+    h
 }
 
 #[test]
@@ -182,27 +176,35 @@ fn pending_checker_agrees_with_completion_enumeration() {
     let spec = erase(FifoQueue::new());
     let (mut decisive, mut unknown) = (0u32, 0u32);
     for seed in 0u64..300 {
-        let ph = arb_pending_history(seed);
-        let oracle = brute_force_pending(&spec, &ph);
-        match check_fast_pending(&spec, &ph) {
+        let h = arb_pending_history(seed);
+        let oracle = brute_force_pending(&spec, &h);
+        let fast = check_fast(&spec, &h);
+        match fast {
             Verdict::Linearizable(_) => {
                 decisive += 1;
-                assert!(oracle, "seed {seed}: fast accepted, every completion refuted: {ph:?}");
+                assert!(oracle, "seed {seed}: fast accepted, every completion refuted: {h:?}");
             }
             Verdict::NotLinearizable => {
                 decisive += 1;
-                assert!(!oracle, "seed {seed}: fast refuted, but a completion linearizes: {ph:?}");
+                assert!(!oracle, "seed {seed}: fast refuted, but a completion linearizes: {h:?}");
             }
             Verdict::Unknown => unknown += 1,
         }
+        // The general search's entry point decides the same completions.
+        let search = check(&spec, &h);
+        assert_eq!(
+            std::mem::discriminant(&search),
+            std::mem::discriminant(&fast),
+            "seed {seed}: check gave {search:?}, check_fast gave {fast:?}: {h:?}"
+        );
         // Instrumentation never changes what it observes. Sequential mask
         // sweep, so the witness itself is deterministic and comparable.
         let seq = CheckConfig { threads: 1, ..CheckConfig::default() };
         let (obs, _ring) = Obs::ring(64);
         assert_eq!(
-            check_fast_pending_with(&spec, &ph, seq, &obs),
-            check_fast_pending_with(&spec, &ph, seq, &Obs::off()),
-            "seed {seed}: observed and unobserved verdicts differ: {ph:?}"
+            check_fast_with(&spec, &h, seq, &obs),
+            check_fast_with(&spec, &h, seq, &Obs::off()),
+            "seed {seed}: observed and unobserved verdicts differ: {h:?}"
         );
     }
     // The corpus must actually exercise the decision procedure: the free
@@ -218,24 +220,19 @@ fn crash_cut_forces_the_pending_dequeue_to_take_effect() {
     // effect and consumed 7 first. The free search finds the unique
     // completion.
     let spec = erase(FifoQueue::new());
-    let complete = History::from_tuples(vec![
+    let mut h = History::from_tuples(vec![
         (0, OpInstance::new("enqueue", 7, ()), 0, 10),
         (0, OpInstance::new("enqueue", 8, ()), 20, 30),
         (1, OpInstance::new("dequeue", (), 8), 40, 50),
     ]);
-    let ph = PendingHistory {
-        complete,
-        pending: vec![PendingOp {
-            pid: Pid(2),
-            invocation: Invocation::nullary("dequeue"),
-            t_invoke: Time(15),
-            may_have_effect: true,
-        }],
-        horizon: Time(60),
-        malformed: 0,
-    };
-    assert!(check_fast_pending(&spec, &ph).is_linearizable());
-    assert!(brute_force_pending(&spec, &ph));
+    h.pending.push(PendingOp {
+        pid: Pid(2),
+        invocation: Invocation::nullary("dequeue"),
+        t_invoke: Time(15),
+        may_have_effect: true,
+    });
+    assert!(check_fast(&spec, &h).is_linearizable());
+    assert!(brute_force_pending(&spec, &h));
 }
 
 #[test]
@@ -244,21 +241,16 @@ fn refutation_requires_every_completion_refuted() {
     // completion of the pending dequeue can save it, and the free search
     // proves the negative.
     let spec = erase(FifoQueue::new());
-    let complete = History::from_tuples(vec![
+    let mut h = History::from_tuples(vec![
         (0, OpInstance::new("enqueue", 7, ()), 0, 10),
         (1, OpInstance::new("dequeue", (), 9), 20, 30),
     ]);
-    let ph = PendingHistory {
-        complete,
-        pending: vec![PendingOp {
-            pid: Pid(2),
-            invocation: Invocation::nullary("dequeue"),
-            t_invoke: Time(5),
-            may_have_effect: true,
-        }],
-        horizon: Time(40),
-        malformed: 0,
-    };
-    assert_eq!(check_fast_pending(&spec, &ph), Verdict::NotLinearizable);
-    assert!(!brute_force_pending(&spec, &ph));
+    h.pending.push(PendingOp {
+        pid: Pid(2),
+        invocation: Invocation::nullary("dequeue"),
+        t_invoke: Time(5),
+        may_have_effect: true,
+    });
+    assert_eq!(check_fast(&spec, &h), Verdict::NotLinearizable);
+    assert!(!brute_force_pending(&spec, &h));
 }

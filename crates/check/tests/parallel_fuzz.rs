@@ -20,7 +20,7 @@ use lintime_check::prelude::*;
 use lintime_check::wing_gong::PARALLEL_MIN_OPS;
 use lintime_obs::Obs;
 use lintime_sim::rng::SplitMix64;
-use lintime_sim::time::{Pid, Time};
+use lintime_sim::time::Pid;
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -90,10 +90,10 @@ fn corrupt(h: &History, rng: &mut SplitMix64) -> History {
 /// Strip the last 1–2 operations of `h` into pending invocations, as a crash
 /// would. The remaining complete prefix still exceeds [`PARALLEL_MIN_OPS`],
 /// so the per-completion searches stay on the parallel path too.
-fn make_pending(h: &History, rng: &mut SplitMix64) -> PendingHistory {
+fn make_pending(h: &History, rng: &mut SplitMix64) -> History {
     let cut = rng.gen_range(1usize..3);
     let keep = h.ops.len() - cut;
-    let complete = History::from_tuples(
+    let mut ph = History::from_tuples(
         h.ops
             .iter()
             .take(keep)
@@ -101,7 +101,7 @@ fn make_pending(h: &History, rng: &mut SplitMix64) -> PendingHistory {
             .map(|(k, op)| (k % 4, op.instance.clone(), op.t_invoke.0, op.t_respond.0))
             .collect(),
     );
-    let pending = h
+    ph.pending = h
         .ops
         .iter()
         .skip(keep)
@@ -112,8 +112,7 @@ fn make_pending(h: &History, rng: &mut SplitMix64) -> PendingHistory {
             may_have_effect: true,
         })
         .collect();
-    let horizon = h.ops.iter().map(|op| op.t_respond).max().unwrap_or(Time(0)) + Time(1);
-    PendingHistory { complete, pending, horizon, malformed: 0 }
+    ph
 }
 
 fn class(v: &Verdict) -> &'static str {
@@ -149,12 +148,12 @@ fn assert_thread_agreement(spec: &Arc<dyn ObjectSpec>, h: &History, label: &str)
 
 /// The pending-completion sweep must produce the same verdict class at every
 /// thread count.
-fn assert_pending_agreement(spec: &Arc<dyn ObjectSpec>, ph: &PendingHistory, label: &str) {
+fn assert_pending_agreement(spec: &Arc<dyn ObjectSpec>, ph: &History, label: &str) {
     let verdicts: Vec<Verdict> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
             let cfg = CheckConfig { threads, ..CheckConfig::default() };
-            check_fast_pending_with(spec, ph, cfg, &Obs::off())
+            check_fast_with(spec, ph, cfg, &Obs::off())
         })
         .collect();
     for (threads, v) in THREAD_COUNTS.iter().zip(&verdicts) {

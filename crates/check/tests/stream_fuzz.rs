@@ -119,15 +119,10 @@ fn corrupt(h: &History, rng: &mut SplitMix64) -> History {
     History::from_tuples(tuples)
 }
 
-/// Feed `h` (complete ops) plus `pending` invocations to a fresh checker,
+/// Feed `h` (complete ops plus pending invocations) to a fresh checker,
 /// one event at a time in event-time order, and return the final verdict
-/// class plus the checker for witness inspection.
-fn stream_classes(
-    spec: &Arc<dyn ObjectSpec>,
-    h: &History,
-    pending: &[PendingOp],
-    flush_ops: usize,
-) -> &'static str {
+/// class.
+fn stream_classes(spec: &Arc<dyn ObjectSpec>, h: &History, flush_ops: usize) -> &'static str {
     let cfg = lintime_check::stream::StreamConfig::default()
         .with_flush_ops(flush_ops)
         .keeping_witnesses();
@@ -148,7 +143,7 @@ fn stream_classes(
         ));
         events.push((op.t_respond.0, 1, Ev::Respond(op.pid, op.t_respond, &op.instance.ret)));
     }
-    for p in pending {
+    for p in &h.pending {
         events.push((
             p.t_invoke.0,
             0,
@@ -181,29 +176,10 @@ fn stream_classes(
     verdict.class()
 }
 
-fn offline_class(spec: &Arc<dyn ObjectSpec>, h: &History, pending: &[PendingOp]) -> &'static str {
-    let verdict = if pending.is_empty() {
-        check_fast(spec, h)
-    } else {
-        let horizon = h
-            .ops
-            .iter()
-            .flat_map(|o| [o.t_invoke, o.t_respond])
-            .chain(pending.iter().map(|p| p.t_invoke))
-            .max()
-            .unwrap_or(Time(0))
-            .max(Time(0));
-        let ph = PendingHistory {
-            complete: History { ops: h.ops.clone() },
-            pending: pending.to_vec(),
-            horizon,
-            malformed: 0,
-        };
-        check_fast_pending(spec, &ph)
-    };
-    match verdict {
+fn offline_class(spec: &Arc<dyn ObjectSpec>, h: &History) -> &'static str {
+    match check_fast(spec, h) {
         Verdict::Linearizable(order) => {
-            if pending.is_empty() {
+            if h.pending.is_empty() {
                 assert!(verify_witness(spec, h, &order), "bogus offline witness\n{h:?}");
             }
             "linearizable"
@@ -216,42 +192,40 @@ fn offline_class(spec: &Arc<dyn ObjectSpec>, h: &History, pending: &[PendingOp])
 /// Streamed (with and without aggressive GC) and offline verdict classes
 /// must agree exactly: the canonical-cut decomposition is an equivalence,
 /// not an approximation.
-fn assert_agreement(spec: &Arc<dyn ObjectSpec>, h: &History, pending: &[PendingOp], label: &str) {
-    let offline = offline_class(spec, h, pending);
+fn assert_agreement(spec: &Arc<dyn ObjectSpec>, h: &History, label: &str) {
+    let offline = offline_class(spec, h);
     for flush_ops in [1024, 2] {
-        let streamed = stream_classes(spec, h, pending, flush_ops);
+        let streamed = stream_classes(spec, h, flush_ops);
         assert_eq!(
             streamed, offline,
-            "{label} (flush_ops={flush_ops}): streamed={streamed} offline={offline}\n{h:?}\n\
-             pending: {pending:?}"
+            "{label} (flush_ops={flush_ops}): streamed={streamed} offline={offline}\n{h:?}"
         );
     }
 }
 
 /// Detach each process's last operation with probability 1/3: its response
 /// is withheld and it rides along as a pending invocation.
-fn detach_pending(h: &History, rng: &mut SplitMix64) -> (History, Vec<PendingOp>) {
+fn detach_pending(h: &History, rng: &mut SplitMix64) -> History {
     let mut last_of_pid: Vec<Option<usize>> = vec![None; 4];
     for (i, op) in h.ops.iter().enumerate() {
         last_of_pid[op.pid.0] = Some(i);
     }
     let detach: Vec<usize> =
         last_of_pid.into_iter().flatten().filter(|_| rng.gen_range(0usize..3) == 0).collect();
-    let mut complete = Vec::new();
-    let mut pending = Vec::new();
+    let mut out = History::default();
     for (i, op) in h.ops.iter().enumerate() {
         if detach.contains(&i) {
-            pending.push(PendingOp {
+            out.pending.push(PendingOp {
                 pid: op.pid,
                 invocation: Invocation { op: op.instance.op, arg: op.instance.arg.clone() },
                 t_invoke: op.t_invoke,
                 may_have_effect: true,
             });
         } else {
-            complete.push(op.clone());
+            out.ops.push(op.clone());
         }
     }
-    (History { ops: complete }, pending)
+    out
 }
 
 fn run_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64) {
@@ -260,12 +234,12 @@ fn run_kind(kind: &str, spec: Arc<dyn ObjectSpec>, seeds: u64) {
             seed ^ kind.bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64)),
         );
         let legal = legal_history(&spec, kind, &mut rng);
-        assert_agreement(&spec, &legal, &[], &format!("{kind} seed {seed} (legal)"));
+        assert_agreement(&spec, &legal, &format!("{kind} seed {seed} (legal)"));
         let bad = corrupt(&legal, &mut rng);
-        assert_agreement(&spec, &bad, &[], &format!("{kind} seed {seed} (corrupted)"));
-        let (complete, pending) = detach_pending(&legal, &mut rng);
-        if !pending.is_empty() {
-            assert_agreement(&spec, &complete, &pending, &format!("{kind} seed {seed} (pending)"));
+        assert_agreement(&spec, &bad, &format!("{kind} seed {seed} (corrupted)"));
+        let detached = detach_pending(&legal, &mut rng);
+        if !detached.pending.is_empty() {
+            assert_agreement(&spec, &detached, &format!("{kind} seed {seed} (pending)"));
         }
     }
 }

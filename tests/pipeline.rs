@@ -224,6 +224,7 @@ fn multi_object_runs_and_locality() {
                     o
                 })
                 .collect(),
+            ..History::default()
         };
         assert!(!projected.is_empty());
         assert!(
