@@ -34,9 +34,20 @@
 //! Queueing latency is reported separately; the model promises nothing
 //! about it (it is the generator outrunning the service rate), so it never
 //! counts against the envelopes. In-flight load (arrived but not yet
-//! responded) is tracked per shard and globally via a merged arrival/response
-//! sweep; the online checker's peak-resident figure demonstrates that
-//! checking memory stays flat no matter how deep the ingress backlog grows.
+//! responded) is a running count per shard; globally it merges each shard's
+//! response times with a times-only replay of the arrival stream. The online
+//! checker's peak-resident figure demonstrates that checking memory stays
+//! flat no matter how deep the ingress backlog grows.
+//!
+//! # What is kept
+//!
+//! One response time (8 bytes) per completed operation, and nothing else per
+//! operation. Each shard's engine pulls its arrivals from a replay of one
+//! deterministic generator ([`ArrivalStream`]), keeps no op log
+//! ([`SimConfig::record_ops`] off, which also drops Algorithm 1's execution
+//! logs), and the consumer thread reconciles every operation with its
+//! arrival as the event stream passes. Memory is therefore O(shards +
+//! backlog), not O(run).
 
 use crate::streamgen::StreamKind;
 use lintime_adt::spec::{Invocation, ObjectSpec, OpClass};
@@ -50,7 +61,7 @@ use lintime_obs::{Histogram, Obs, Registry};
 use lintime_sim::delay::DelaySpec;
 use lintime_sim::engine::{OpEvent, SimConfig};
 use lintime_sim::rng::{mix, SplitMix64};
-use lintime_sim::schedule::Schedule;
+use lintime_sim::schedule::{ArrivalStream, Schedule, TimedInvocation};
 use lintime_sim::time::{ModelParams, Pid, Time};
 use lintime_sim::workload::Mix;
 use std::collections::VecDeque;
@@ -168,86 +179,157 @@ impl ServeConfig {
     }
 }
 
-/// One generated open-loop arrival, before it is handed to a shard.
-#[derive(Clone, Debug)]
-struct Arrival {
-    at: Time,
-    pid: Pid,
-    inv: Invocation,
-    class: OpClass,
+/// The open-loop generator's tables, built once per deployment: the Zipf
+/// CDF over shards, each class's candidate operations and each operation's
+/// argument pool.
+struct ArrivalTables {
+    seed: u64,
+    total_ops: usize,
+    /// Upper end of the uniform inter-arrival gap draw, in ticks.
+    max_gap: i64,
+    mix: Mix,
+    n: usize,
+    cdf: Vec<f64>,
+    /// `(name, class)` of every operation of the ADT, in spec order.
+    ops: Vec<(&'static str, OpClass)>,
+    /// Indices into `ops` of each class's operations (accessor, mutator,
+    /// mixed).
+    by_class: [Vec<usize>; 3],
+    /// `suggested_args` of every operation, parallel to `ops`.
+    args: Vec<Vec<Value>>,
+    /// The consumer every producer is paired with, on container ADTs.
+    pairing: Option<usize>,
 }
 
-/// Deterministically generate the full arrival stream and split it by shard
-/// (Zipfian shard popularity, uniform process choice within the shard).
-fn generate(cfg: &ServeConfig) -> Vec<Vec<Arrival>> {
-    let mut rng = SplitMix64::seed_from_u64(cfg.seed);
-    // Zipf CDF over shards.
-    let weights: Vec<f64> =
-        (0..cfg.shards).map(|k| 1.0 / ((k + 1) as f64).powf(cfg.zipf_s)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut cdf = Vec::with_capacity(cfg.shards);
-    let mut acc = 0.0;
-    for w in &weights {
-        acc += w / total;
-        cdf.push(acc);
+impl ArrivalTables {
+    fn new(cfg: &ServeConfig) -> ArrivalTables {
+        // Zipf CDF over shards.
+        let weights: Vec<f64> =
+            (0..cfg.shards).map(|k| 1.0 / ((k + 1) as f64).powf(cfg.zipf_s)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut cdf = Vec::with_capacity(cfg.shards);
+        let mut acc = 0.0;
+        for w in &weights {
+            acc += w / total;
+            cdf.push(acc);
+        }
+        let spec = cfg.kind.spec();
+        let metas = spec.ops();
+        // Container ADTs (queue, priority queue — anything with a consuming
+        // mixed op) only give the settled-prefix GC a *canonical* cut when
+        // the structure is provably empty at that cut. The generator
+        // therefore pairs every producer with the same process's next
+        // operation being the matching consumer: at a quiescence barrier
+        // where no process sits mid-pair, every serviced dequeue after the
+        // last empty point succeeded, so the structure is empty and the
+        // checker can retire the prefix. Registers have no consuming op and
+        // need no pairing (their canonical cut is a strictly-last write
+        // instead).
+        let consumer = metas.iter().position(|m| m.class == OpClass::Mixed);
+        let producing = metas.iter().any(|m| m.class == OpClass::PureMutator && m.has_arg);
+        let class_ops = |c: OpClass| (0..metas.len()).filter(|&i| metas[i].class == c).collect();
+        ArrivalTables {
+            seed: cfg.seed,
+            total_ops: cfg.total_ops,
+            max_gap: (2 * cfg.mean_gap.as_ticks()).max(0),
+            mix: cfg.mix,
+            n: cfg.params.n,
+            cdf,
+            ops: metas.iter().map(|m| (m.name, m.class)).collect(),
+            by_class: [OpClass::PureAccessor, OpClass::PureMutator, OpClass::Mixed].map(class_ops),
+            args: metas.iter().map(|m| spec.suggested_args(m.name)).collect(),
+            pairing: consumer.filter(|_| producing),
+        }
     }
-    let spec = cfg.kind.spec();
-    let metas = spec.ops();
-    let mix_total = cfg.mix.accessors + cfg.mix.mutators + cfg.mix.mixed;
-    // Container ADTs (queue, priority queue — anything with a consuming
-    // mixed op) only give the settled-prefix GC a *canonical* cut when the
-    // structure is provably empty at that cut. The generator therefore pairs
-    // every producer with the same process's next operation being the
-    // matching consumer: at a quiescence barrier where no process sits
-    // mid-pair, every serviced dequeue after the last empty point succeeded,
-    // so the structure is empty and the checker can retire the prefix.
-    // Registers have no consuming op and need no pairing (their canonical
-    // cut is a strictly-last write instead).
-    let consumer = metas.iter().find(|m| m.class == OpClass::Mixed);
-    let producing = metas.iter().any(|m| m.class == OpClass::PureMutator && m.has_arg);
-    let pairing = consumer.filter(|_| producing);
-    let mut owes_consumer = vec![vec![false; cfg.params.n]; cfg.shards];
 
-    let mut per_shard: Vec<Vec<Arrival>> = vec![Vec::new(); cfg.shards];
-    let mut t = Time::ZERO;
-    for _ in 0..cfg.total_ops {
-        t += Time(rng.gen_range(0..=(2 * cfg.mean_gap.as_ticks()).max(0)));
+    /// A fresh replay of the global arrival stream.
+    fn replay(self: &Arc<Self>) -> Arrivals {
+        Arrivals {
+            rng: SplitMix64::seed_from_u64(self.seed),
+            t: Time::ZERO,
+            left: self.total_ops,
+            owes_consumer: vec![false; self.cdf.len() * self.n],
+            tables: Arc::clone(self),
+        }
+    }
+
+    /// Shard `shard`'s arrivals, as invocations for its engine.
+    fn shard_invocations(self: &Arc<Self>, shard: usize) -> impl Iterator<Item = TimedInvocation> {
+        let tables = Arc::clone(self);
+        self.replay().filter(move |a| a.shard == shard).map(move |a| TimedInvocation {
+            pid: a.pid,
+            at: a.at,
+            inv: Invocation::new(tables.ops[a.op].0, tables.args[a.op][a.arg].clone()),
+        })
+    }
+}
+
+/// One draw of the global open-loop stream: which shard, process and
+/// operation arrives when. Operation and argument are indices into the
+/// [`ArrivalTables`], so skipping another shard's arrival builds nothing.
+#[derive(Clone, Copy, Debug)]
+struct Arrival {
+    at: Time,
+    shard: usize,
+    pid: Pid,
+    op: usize,
+    arg: usize,
+}
+
+/// The deterministic open-loop generator (Zipfian shard popularity, uniform
+/// process choice within the shard, mix-weighted classes), replayed draw by
+/// draw. Every replay from the same tables yields the identical stream, in
+/// non-decreasing time order.
+struct Arrivals {
+    tables: Arc<ArrivalTables>,
+    rng: SplitMix64,
+    t: Time,
+    left: usize,
+    /// `owes_consumer[shard * n + pid]`: the process's next op is the
+    /// consumer paired with its last producer.
+    owes_consumer: Vec<bool>,
+}
+
+impl Iterator for Arrivals {
+    type Item = Arrival;
+
+    fn next(&mut self) -> Option<Arrival> {
+        self.left = self.left.checked_sub(1)?;
+        let (tb, rng) = (&*self.tables, &mut self.rng);
+        self.t += Time(rng.gen_range(0..=tb.max_gap));
         // 53 uniform bits → [0, 1).
         let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let shard = cdf.partition_point(|&c| c <= u).min(cfg.shards - 1);
-        let pid = Pid(rng.gen_range(0..cfg.params.n));
-        let meta = if let Some(consumer) = pairing.filter(|_| owes_consumer[shard][pid.0]) {
-            owes_consumer[shard][pid.0] = false;
-            consumer
-        } else {
-            let roll = rng.gen_range(0..mix_total);
-            let class = if roll < cfg.mix.accessors {
-                OpClass::PureAccessor
-            } else if roll < cfg.mix.accessors + cfg.mix.mutators {
-                OpClass::PureMutator
-            } else {
-                OpClass::Mixed
-            };
-            let candidates: Vec<_> = metas.iter().filter(|m| m.class == class).collect();
-            if candidates.is_empty() {
-                &metas[rng.gen_range(0..metas.len())]
-            } else {
-                candidates[rng.gen_range(0..candidates.len())]
+        let shard = tb.cdf.partition_point(|&c| c <= u).min(tb.cdf.len() - 1);
+        let pid = Pid(rng.gen_range(0..tb.n));
+        let owes = &mut self.owes_consumer[shard * tb.n + pid.0];
+        let op = match tb.pairing.filter(|_| *owes) {
+            Some(consumer) => {
+                *owes = false;
+                consumer
+            }
+            None => {
+                let roll = rng.gen_range(0..tb.mix.accessors + tb.mix.mutators + tb.mix.mixed);
+                let slot = if roll < tb.mix.accessors {
+                    0
+                } else if roll < tb.mix.accessors + tb.mix.mutators {
+                    1
+                } else {
+                    2
+                };
+                let candidates = &tb.by_class[slot];
+                if candidates.is_empty() {
+                    rng.gen_range(0..tb.ops.len())
+                } else {
+                    candidates[rng.gen_range(0..candidates.len())]
+                }
             }
         };
-        if pairing.is_some() && meta.class == OpClass::PureMutator {
-            owes_consumer[shard][pid.0] = true;
+        if tb.pairing.is_some() && tb.ops[op].1 == OpClass::PureMutator {
+            *owes = true;
         }
-        let args = spec.suggested_args(meta.name);
-        let arg = args[rng.gen_range(0..args.len())].clone();
-        per_shard[shard].push(Arrival {
-            at: t,
-            pid,
-            inv: Invocation::new(meta.name, arg),
-            class: meta.class,
-        });
+        let arg = rng.gen_range(0..tb.args[op].len());
+        Some(Arrival { at: self.t, shard, pid, op, arg })
     }
-    per_shard
 }
 
 /// Per-class latency aggregate of one shard.
@@ -350,11 +432,12 @@ struct Consumed {
     verdict: StreamVerdict,
     stats: StreamStats,
     history: Option<History>,
+    reconciled: Reconciled,
 }
 
-/// Consume one shard's live event stream: feed the online checker, apply
-/// the corruption hook, and (optionally) retain the completed history the
-/// checker actually saw.
+/// Consume one shard's live event stream: feed the online checker and the
+/// [`Reconcile`] accounting, apply the corruption hook, and (optionally)
+/// retain the completed history the checker actually saw.
 fn consume(
     spec: Arc<dyn ObjectSpec>,
     cfg: StreamConfig,
@@ -362,6 +445,7 @@ fn consume(
     corrupt: bool,
     keep: bool,
     obs: Obs,
+    mut reconcile: Reconcile,
 ) -> Consumed {
     let mut checker = StreamChecker::observed(&spec, cfg, &obs);
     let mut pending: Vec<Option<(&'static str, Value, Time)>> = Vec::new();
@@ -370,6 +454,7 @@ fn consume(
     for ev in rx {
         match ev {
             OpEvent::Invoke { pid, t, op, arg } => {
+                reconcile.invoke(pid, t);
                 if keep {
                     if pid.0 >= pending.len() {
                         pending.resize_with(pid.0 + 1, || None);
@@ -379,6 +464,7 @@ fn consume(
                 checker.feed_invoke(pid, t, op, arg);
             }
             OpEvent::Respond { pid, t, mut ret } => {
+                reconcile.respond(pid, t);
                 if corrupt_armed {
                     if let Value::Int(v) = ret {
                         // A value no generator produces: the shard's stream
@@ -407,6 +493,164 @@ fn consume(
         verdict,
         stats,
         history: keep.then_some(History { ops: kept, ..History::default() }),
+        reconciled: reconcile.finish(),
+    }
+}
+
+/// Index of an operation class in per-class arrays.
+fn class_slot(c: OpClass) -> usize {
+    match c {
+        OpClass::PureAccessor => 0,
+        OpClass::PureMutator => 1,
+        OpClass::Mixed => 2,
+    }
+}
+
+/// One shard's arrival/latency accounting, kept as running values while the
+/// consumer thread reads the shard's event stream. Each invocation is paired
+/// with its arrival from a second replay of the shard's arrivals: the engine
+/// admits per-process FIFO, so the i-th invocation at a pid is the i-th
+/// arrival there. Queue wait = admission − arrival; service = response −
+/// admission, checked against the batched envelope of the op's class.
+///
+/// Before each event at time `t`, every arrival at or before `t` is counted
+/// in flight, so arrivals at an instant count before responses at it. The
+/// memory held is the arrived-but-unadmitted backlog plus one response time
+/// per completed op, for the global in-flight roll-up.
+struct Reconcile {
+    shard: usize,
+    arrivals: Arrivals,
+    /// The shard's next arrival, not yet counted.
+    next: Option<Arrival>,
+    arrived: u64,
+    /// Per process: `(arrival time, class slot)` of arrivals not yet
+    /// admitted, FIFO.
+    queued: Vec<VecDeque<(Time, usize)>>,
+    /// Per process: `(arrival, admission, class slot)` of the pending op.
+    admitted: Vec<Option<(Time, Time, usize)>>,
+    in_flight: i64,
+    peak_in_flight: i64,
+    classes: [ClassStats; 3],
+    sums: [i128; 3],
+    max_queue_wait: i64,
+    completed: u64,
+    responses: Vec<Time>,
+    hists: LatencyHists,
+}
+
+/// What [`Reconcile`] adds up for one shard.
+#[derive(Default)]
+struct Reconciled {
+    arrivals: u64,
+    ops: u64,
+    peak_in_flight: usize,
+    max_queue_wait_ticks: i64,
+    /// Classes that completed an op.
+    classes: Vec<ClassStats>,
+    /// Response times of the arrival-matched completions, in response
+    /// (hence time) order.
+    responses: Vec<Time>,
+}
+
+impl Reconcile {
+    fn new(
+        cfg: &ServeConfig,
+        shard: usize,
+        tables: &Arc<ArrivalTables>,
+        hists: LatencyHists,
+    ) -> Self {
+        let class = |c: OpClass, label| ClassStats {
+            class: label,
+            count: 0,
+            mean_ticks: 0.0,
+            max_ticks: 0,
+            envelope_ticks: batched_predicted_latency(cfg.params, cfg.x, cfg.tick, c).as_ticks(),
+            violations: 0,
+        };
+        let mut arrivals = tables.replay();
+        Reconcile {
+            shard,
+            next: arrivals.find(|a| a.shard == shard),
+            arrivals,
+            arrived: 0,
+            queued: vec![VecDeque::new(); cfg.params.n],
+            admitted: vec![None; cfg.params.n],
+            in_flight: 0,
+            peak_in_flight: 0,
+            classes: [
+                class(OpClass::PureAccessor, "accessor"),
+                class(OpClass::PureMutator, "mutator"),
+                class(OpClass::Mixed, "mixed"),
+            ],
+            sums: [0; 3],
+            max_queue_wait: 0,
+            completed: 0,
+            responses: Vec::new(),
+            hists,
+        }
+    }
+
+    /// Count every arrival at or before `t` in flight.
+    fn arrive_until(&mut self, t: Time) {
+        while let Some(a) = self.next.filter(|a| a.at <= t) {
+            let shard = self.shard;
+            self.next = self.arrivals.find(|a| a.shard == shard);
+            self.arrived += 1;
+            self.queued[a.pid.0].push_back((a.at, class_slot(self.arrivals.tables.ops[a.op].1)));
+            self.in_flight += 1;
+            self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
+        }
+    }
+
+    fn invoke(&mut self, pid: Pid, t: Time) {
+        self.arrive_until(t);
+        if let Some((at, slot)) = self.queued[pid.0].pop_front() {
+            self.admitted[pid.0] = Some((at, t, slot));
+        }
+    }
+
+    fn respond(&mut self, pid: Pid, t: Time) {
+        self.arrive_until(t);
+        self.completed += 1;
+        let Some((at, t_invoke, slot)) = self.admitted[pid.0].take() else { return };
+        let wait = (t_invoke - at).as_ticks();
+        let service = (t - t_invoke).as_ticks();
+        self.max_queue_wait = self.max_queue_wait.max(wait);
+        self.hists.queue.observe_i64(wait);
+        self.hists.service.observe_i64(service);
+        self.hists.total.observe_i64((t - at).as_ticks());
+        self.in_flight -= 1;
+        self.responses.push(t);
+        let cs = &mut self.classes[slot];
+        cs.count += 1;
+        self.sums[slot] += service as i128;
+        cs.max_ticks = cs.max_ticks.max(service);
+        if service > cs.envelope_ticks {
+            cs.violations += 1;
+        }
+    }
+
+    fn finish(self) -> Reconciled {
+        // Arrivals the run never reached still count as routed here.
+        let shard = self.shard;
+        let unreached =
+            self.next.map_or(0, |_| 1 + self.arrivals.filter(|a| a.shard == shard).count());
+        let sums = self.sums;
+        let classes = self
+            .classes
+            .into_iter()
+            .zip(sums)
+            .filter(|(cs, _)| cs.count > 0)
+            .map(|(cs, sum)| ClassStats { mean_ticks: sum as f64 / cs.count as f64, ..cs })
+            .collect();
+        Reconciled {
+            arrivals: self.arrived + unreached as u64,
+            ops: self.completed,
+            peak_in_flight: self.peak_in_flight as usize,
+            max_queue_wait_ticks: self.max_queue_wait,
+            classes,
+            responses: self.responses,
+        }
     }
 }
 
@@ -458,35 +702,39 @@ impl LatencyHists {
 }
 
 /// One shard's full outcome: the report, the verdict feeding the locality
-/// roll-up, the (arrival, response) deltas for the global in-flight sweep,
-/// and the engine's event count.
+/// roll-up, the response times for the global in-flight sweep, and the
+/// engine's event count.
 struct ShardOutcome {
     report: ShardReport,
     verdict: StreamVerdict,
-    flight: Vec<(Time, i32)>,
+    responses: Vec<Time>,
     events: u64,
 }
 
-/// Run one shard end to end: build its open-loop schedule, execute the
-/// batched Algorithm 1 cluster with a live checker riding the event stream,
-/// then reconcile arrivals with the recorded run.
+/// Run one shard end to end: execute the batched Algorithm 1 cluster on the
+/// shard's lazily pulled open-loop arrivals, with a live checker and the
+/// latency reconciliation riding the event stream.
 fn run_shard(
     cfg: &ServeConfig,
     shard: usize,
-    arrivals: &[Arrival],
+    tables: &Arc<ArrivalTables>,
     hists: &LatencyHists,
     obs: &Obs,
 ) -> ShardOutcome {
     let spec = cfg.kind.spec();
-    let mut schedule = Schedule::new();
-    for a in arrivals {
-        schedule = schedule.arrival(a.pid, a.at, a.inv.clone());
-    }
+    let stream_tables = Arc::clone(tables);
+    let schedule = Schedule::new()
+        .arrival_stream(ArrivalStream::new(move || stream_tables.shard_invocations(shard)));
     let (tx, rx) = mpsc::channel();
-    let sim = SimConfig::new(
-        cfg.params,
-        DelaySpec::UniformRandom { seed: mix(cfg.seed ^ (shard as u64)) },
-    )
+    // The consumer thread reconciles every op as it streams past, so the
+    // engine keeps no op log.
+    let sim = SimConfig {
+        record_ops: false,
+        ..SimConfig::new(
+            cfg.params,
+            DelaySpec::UniformRandom { seed: mix(cfg.seed ^ (shard as u64)) },
+        )
+    }
     .with_schedule(schedule)
     .with_op_sink(tx)
     .with_admission_epoch(cfg.flush_ops.max(1) as u64)
@@ -497,8 +745,9 @@ fn run_shard(
     let corrupt = cfg.corrupt_shard == Some(shard);
     let keep = cfg.keep_histories;
     let consumer_obs = obs.clone();
+    let reconcile = Reconcile::new(cfg, shard, tables, hists.clone());
     let consumer = std::thread::spawn(move || {
-        consume(consumer_spec, stream_cfg, rx, corrupt, keep, consumer_obs)
+        consume(consumer_spec, stream_cfg, rx, corrupt, keep, consumer_obs, reconcile)
     });
 
     let run = run_algorithm(cfg.algorithm(), &spec, &sim);
@@ -507,95 +756,44 @@ fn run_shard(
         verdict: StreamVerdict::Unknown(lintime_check::stream::UnknownReason::MalformedStream),
         stats: StreamStats::default(),
         history: None,
+        reconciled: Reconciled::default(),
     });
-
-    // Reconcile arrivals with the recorded operations: the engine admits
-    // per-process FIFO, so the i-th arrival at a pid is the i-th recorded op
-    // at that pid. Queue wait = admission − arrival; service = response −
-    // admission, checked against the batched envelope for the op's class.
-    let mut arr_by_pid: Vec<VecDeque<&Arrival>> = vec![VecDeque::new(); cfg.params.n];
-    for a in arrivals {
-        arr_by_pid[a.pid.0].push_back(a);
-    }
-    let mut classes = [
-        (OpClass::PureAccessor, "accessor"),
-        (OpClass::PureMutator, "mutator"),
-        (OpClass::Mixed, "mixed"),
-    ]
-    .map(|(c, label)| {
-        (
-            c,
-            ClassStats {
-                class: label,
-                count: 0,
-                mean_ticks: 0.0,
-                max_ticks: 0,
-                envelope_ticks: batched_predicted_latency(cfg.params, cfg.x, cfg.tick, c)
-                    .as_ticks(),
-                violations: 0,
-            },
-        )
-    });
-    let mut sums = [0i128; 3];
-    let mut flight: Vec<(Time, i32)> = Vec::with_capacity(2 * run.ops.len());
-    let mut max_queue_wait = 0i64;
-    for op in &run.ops {
-        let Some(arrival) = arr_by_pid[op.pid.0].pop_front() else { continue };
-        let Some(t_respond) = op.t_respond else { continue };
-        let wait = (op.t_invoke - arrival.at).as_ticks();
-        let service = (t_respond - op.t_invoke).as_ticks();
-        max_queue_wait = max_queue_wait.max(wait);
-        hists.queue.observe_i64(wait);
-        hists.service.observe_i64(service);
-        hists.total.observe_i64((t_respond - arrival.at).as_ticks());
-        flight.push((arrival.at, 1));
-        flight.push((t_respond, -1));
-        let slot = match arrival.class {
-            OpClass::PureAccessor => 0,
-            OpClass::PureMutator => 1,
-            OpClass::Mixed => 2,
-        };
-        let cs = &mut classes[slot].1;
-        cs.count += 1;
-        sums[slot] += service as i128;
-        cs.max_ticks = cs.max_ticks.max(service);
-        if service > cs.envelope_ticks {
-            cs.violations += 1;
-        }
-    }
-    for (slot, (_, cs)) in classes.iter_mut().enumerate() {
-        if cs.count > 0 {
-            cs.mean_ticks = sums[slot] as f64 / cs.count as f64;
-        }
-    }
-
-    // Shard-local peak in-flight.
-    let mut sorted = flight.clone();
-    sorted.sort_by_key(|&(t, delta)| (t, -delta));
-    let (mut cur, mut peak) = (0i64, 0i64);
-    for &(_, delta) in &sorted {
-        cur += delta as i64;
-        peak = peak.max(cur);
-    }
-
-    let classes: Vec<ClassStats> =
-        classes.into_iter().map(|(_, cs)| cs).filter(|cs| cs.count > 0).collect();
-    let envelope_violations = classes.iter().map(|c| c.violations).sum();
+    let r = consumed.reconciled;
     let report = ShardReport {
         shard,
-        arrivals: arrivals.len() as u64,
-        ops: run.ops.iter().filter(|o| o.t_respond.is_some()).count() as u64,
+        arrivals: r.arrivals,
+        ops: r.ops,
         unadmitted: run.unadmitted,
         truncated: run.truncated,
-        peak_in_flight: peak as usize,
-        max_queue_wait_ticks: max_queue_wait,
-        classes,
-        envelope_violations,
+        peak_in_flight: r.peak_in_flight,
+        max_queue_wait_ticks: r.max_queue_wait_ticks,
+        envelope_violations: r.classes.iter().map(|c| c.violations).sum(),
+        classes: r.classes,
         verdict_class: consumed.verdict.class(),
         stats: consumed.stats,
         history: consumed.history,
     };
-    ShardOutcome { report, verdict: consumed.verdict, flight, events: run.events }
+    ShardOutcome { report, verdict: consumed.verdict, responses: r.responses, events: run.events }
+}
+
+/// Global peak in-flight across shards, which share the virtual time axis:
+/// a times-only replay of the global arrival stream merged with each
+/// shard's response times (arrivals at an instant count before responses
+/// at it).
+fn global_peak_in_flight(tables: &Arc<ArrivalTables>, responses: &[Vec<Time>]) -> usize {
+    let mut next = vec![0usize; responses.len()];
+    let (mut cur, mut peak) = (0i64, 0i64);
+    for a in tables.replay() {
+        for (times, i) in responses.iter().zip(next.iter_mut()) {
+            while times.get(*i).is_some_and(|&t| t < a.at) {
+                *i += 1;
+                cur -= 1;
+            }
+        }
+        cur += 1;
+        peak = peak.max(cur);
+    }
+    peak as usize
 }
 
 /// Run the whole deployment (uninstrumented). See [`serve_observed`].
@@ -603,15 +801,15 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
     serve_observed(cfg, &Obs::off())
 }
 
-/// Run the whole deployment: generate the open-loop load, execute every
-/// shard on `cfg.workers` worker threads, compose the per-shard streaming
-/// verdicts, and aggregate latency/in-flight figures. The `obs` bundle (when
-/// active) additionally collects the engines' `sim.ingress.*` metrics and
-/// the checkers' `check.stream.*` counters across all shards.
+/// Run the whole deployment: execute every shard on `cfg.workers` worker
+/// threads, each engine pulling its shard's share of the open-loop load
+/// from a replay of one deterministic generator, compose the per-shard
+/// streaming verdicts, and aggregate latency/in-flight figures. The `obs`
+/// bundle (when active) additionally collects the engines' `sim.*` metrics
+/// and the checkers' `check.stream.*` counters across all shards.
 pub fn serve_observed(cfg: &ServeConfig, obs: &Obs) -> Result<ServeReport, String> {
     cfg.validate()?;
-    let per_shard = generate(cfg);
-    let arrivals_total: u64 = per_shard.iter().map(|v| v.len() as u64).sum();
+    let tables = Arc::new(ArrivalTables::new(cfg));
     // The latency histograms live in their own registry so percentile math
     // never depends on the caller passing an active Obs.
     let registry = Registry::new();
@@ -622,12 +820,12 @@ pub fn serve_observed(cfg: &ServeConfig, obs: &Obs) -> Result<ServeReport, Strin
         Mutex::new((0..cfg.shards).map(|_| None).collect());
     std::thread::scope(|scope| {
         for w in 0..cfg.workers.min(cfg.shards) {
-            let per_shard = &per_shard;
+            let tables = &tables;
             let results = &results;
             let hists = &hists;
             scope.spawn(move || {
                 for s in (w..cfg.shards).step_by(cfg.workers) {
-                    let outcome = run_shard(cfg, s, &per_shard[s], hists, obs);
+                    let outcome = run_shard(cfg, s, tables, hists, obs);
                     results.lock().expect("results poisoned")[s] = Some(outcome);
                 }
             });
@@ -637,21 +835,16 @@ pub fn serve_observed(cfg: &ServeConfig, obs: &Obs) -> Result<ServeReport, Strin
 
     let mut shard_reports = Vec::with_capacity(cfg.shards);
     let mut verdicts = ShardVerdicts::default();
-    let mut flight_all: Vec<(Time, i32)> = Vec::new();
+    let mut responses = Vec::with_capacity(cfg.shards);
     let mut events = 0u64;
     for slot in results.into_inner().expect("results poisoned") {
         let outcome = slot.expect("every shard ran");
         verdicts.push(format!("shard-{}", outcome.report.shard), outcome.verdict);
-        flight_all.extend(outcome.flight);
+        responses.push(outcome.responses);
         events += outcome.events;
         shard_reports.push(outcome.report);
     }
-    flight_all.sort_by_key(|&(t, delta)| (t, -delta));
-    let (mut cur, mut peak) = (0i64, 0i64);
-    for &(_, delta) in &flight_all {
-        cur += delta as i64;
-        peak = peak.max(cur);
-    }
+    let peak = global_peak_in_flight(&tables, &responses);
 
     let ops: u64 = shard_reports.iter().map(|s| s.ops).sum();
     let service = hists.service.snapshot();
@@ -665,11 +858,11 @@ pub fn serve_observed(cfg: &ServeConfig, obs: &Obs) -> Result<ServeReport, Strin
         flush_ops: cfg.flush_ops,
         verdicts,
         ops,
-        arrivals: arrivals_total,
+        arrivals: shard_reports.iter().map(|s| s.arrivals).sum(),
         events,
         wall,
         ops_per_sec: ops as f64 / wall.as_secs_f64().max(1e-9),
-        peak_in_flight: peak as usize,
+        peak_in_flight: peak,
         envelope_violations: shard_reports.iter().map(|s| s.envelope_violations).sum(),
         service_p50: service.percentile(0.50),
         service_p99: service.percentile(0.99),
@@ -844,25 +1037,158 @@ mod tests {
         assert!(cfg.validate().is_err());
     }
 
+    /// Each shard's arrivals, as its engine pulls them.
+    fn per_shard(cfg: &ServeConfig) -> Vec<Vec<TimedInvocation>> {
+        let tables = Arc::new(ArrivalTables::new(cfg));
+        (0..cfg.shards).map(|s| tables.shard_invocations(s).collect()).collect()
+    }
+
     #[test]
     fn zipf_generation_skews_toward_low_shards_and_is_deterministic() {
         let mut cfg = small();
         cfg.shards = 4;
         cfg.zipf_s = 1.2;
         cfg.total_ops = 2_000;
-        let a = generate(&cfg);
-        let b = generate(&cfg);
+        let a = per_shard(&cfg);
+        let b = per_shard(&cfg);
         let counts: Vec<usize> = a.iter().map(Vec::len).collect();
         assert_eq!(counts.iter().sum::<usize>(), 2_000);
         assert!(counts[0] > counts[3] * 2, "zipf 1.2 must visibly favor shard 0: {counts:?}");
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.len(), y.len(), "equal seeds, equal streams");
-        }
+        assert_eq!(a, b, "equal seeds, equal streams");
         // Arrival times are non-decreasing (one global open-loop clock).
         for shard in &a {
             for w in shard.windows(2) {
                 assert!(w[0].at <= w[1].at);
             }
+        }
+    }
+
+    /// A digest of every shard's arrivals `(shard, at, pid, op, arg)`, in
+    /// shard order.
+    fn stream_digest(cfg: &ServeConfig) -> u64 {
+        let mut h = 0u64;
+        for (shard, arrivals) in per_shard(cfg).into_iter().enumerate() {
+            for a in arrivals {
+                for x in [shard as u64, a.at.as_ticks() as u64, a.pid.0 as u64] {
+                    h = mix(h ^ x);
+                }
+                for b in a.inv.op.bytes().chain(format!("{:?}", a.inv.arg).bytes()) {
+                    h = mix(h ^ b as u64);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn the_arrival_stream_is_pinned() {
+        // These digests were taken from the original generator, which
+        // rebuilt its candidate and argument lists per arrival: the
+        // table-driven one must make the same draws in the same order.
+        let params = ModelParams::new(3, Time(300), Time(120), Time(90));
+        let queue = ServeConfig {
+            params,
+            total_ops: 3000,
+            mean_gap: Time(3),
+            seed: 11,
+            ..ServeConfig::new(4, 1)
+        };
+        let register = ServeConfig {
+            kind: StreamKind::Register,
+            mix: Mix::READ_HEAVY,
+            params,
+            total_ops: 3000,
+            mean_gap: Time(2000),
+            seed: 12,
+            ..ServeConfig::new(3, 1)
+        };
+        assert_eq!(stream_digest(&queue), 0x5b68_10c0_b5c8_1efd);
+        assert_eq!(stream_digest(&register), 0x0352_e0b7_5f25_d280);
+    }
+
+    /// `(class label, count, max ticks, violations)`.
+    type ClassRow = (&'static str, u64, i64, u64);
+
+    /// Per-class `(label, count, max, violations)` and the in-flight
+    /// `(time, ±1)` deltas of one shard, recomputed offline from its kept
+    /// history and its regenerated arrivals (each process's ops in
+    /// invocation order pair FIFO with its arrivals).
+    fn oracle(
+        cfg: &ServeConfig,
+        history: &History,
+        arrivals: &[TimedInvocation],
+    ) -> (Vec<ClassRow>, Vec<(Time, i32)>) {
+        let spec = cfg.kind.spec();
+        let mut ops: Vec<&TimedOp> = history.ops.iter().collect();
+        ops.sort_by_key(|o| o.t_invoke);
+        let mut queued: Vec<VecDeque<&TimedInvocation>> = vec![VecDeque::new(); cfg.params.n];
+        for a in arrivals {
+            queued[a.pid.0].push_back(a);
+        }
+        let labels = ["accessor", "mutator", "mixed"];
+        let mut classes = [(0u64, 0i64, 0u64); 3];
+        let mut flight = Vec::new();
+        for op in ops {
+            let a = queued[op.pid.0].pop_front().expect("every op arrived");
+            let class = spec.op_meta(a.inv.op).expect("known op").class;
+            let service = (op.t_respond - op.t_invoke).as_ticks();
+            let envelope = batched_predicted_latency(cfg.params, cfg.x, cfg.tick, class);
+            let c = &mut classes[class_slot(class)];
+            c.0 += 1;
+            c.1 = c.1.max(service);
+            c.2 += u64::from(service > envelope.as_ticks());
+            flight.push((a.at, 1));
+            flight.push((op.t_respond, -1));
+        }
+        let classes = (0..3)
+            .filter(|&i| classes[i].0 > 0)
+            .map(|i| (labels[i], classes[i].0, classes[i].1, classes[i].2))
+            .collect();
+        (classes, flight)
+    }
+
+    fn sweep_peak(mut flight: Vec<(Time, i32)>) -> usize {
+        flight.sort_by_key(|&(t, delta)| (t, -delta));
+        let (mut cur, mut peak) = (0i64, 0i64);
+        for (_, delta) in flight {
+            cur += delta as i64;
+            peak = peak.max(cur);
+        }
+        peak as usize
+    }
+
+    #[test]
+    fn online_reconcile_matches_an_offline_oracle() {
+        let queue = ServeConfig { keep_histories: true, ..small() };
+        let burst = ServeConfig { mean_gap: Time::ZERO, total_ops: 900, ..queue.clone() };
+        let register = ServeConfig {
+            kind: StreamKind::Register,
+            mix: Mix::READ_HEAVY,
+            mean_gap: Time(150),
+            shards: 3,
+            ..queue.clone()
+        };
+        // On this seed an arrival ties with a response at the global peak,
+        // so counting the response first would read one op low.
+        let tied = ServeConfig { seed: 5, mean_gap: Time(3), total_ops: 300, ..queue.clone() };
+        for cfg in [queue, burst, register, tied] {
+            let report = serve(&cfg).expect("serve");
+            let arrivals = per_shard(&cfg);
+            let mut all_flight = Vec::new();
+            for s in &report.shard_reports {
+                let history = s.history.as_ref().expect("history kept");
+                let (classes, flight) = oracle(&cfg, history, &arrivals[s.shard]);
+                let online: Vec<_> = s
+                    .classes
+                    .iter()
+                    .map(|c| (c.class, c.count, c.max_ticks, c.violations))
+                    .collect();
+                assert_eq!(online, classes, "shard {}", s.shard);
+                assert_eq!(s.arrivals, arrivals[s.shard].len() as u64);
+                assert_eq!(s.peak_in_flight, sweep_peak(flight.clone()), "shard {}", s.shard);
+                all_flight.extend(flight);
+            }
+            assert_eq!(report.peak_in_flight, sweep_peak(all_flight));
         }
     }
 

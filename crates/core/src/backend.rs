@@ -229,8 +229,10 @@ pub fn run_backend(
             why,
         });
     }
-    let (mut run, nodes) =
-        simulate_full(cfg, |pid| backend.make_node(pid, spec, cfg.params, &cfg.obs));
+    // A run that keeps no op log keeps no per-op node logs either.
+    let (mut run, nodes) = simulate_full(cfg, |pid| {
+        backend.make_node(pid, spec, cfg.params, &cfg.obs).with_logs(cfg.record_ops)
+    });
     let mut quorum_round_trips = 0;
     let mut fast_reads = 0;
     let mut read_writebacks = 0;
@@ -340,6 +342,42 @@ mod tests {
         assert_eq!(out.fast_reads, 1);
         assert_eq!(out.read_writebacks, 0);
         assert!(out.run.msgs_sent > 0 && out.run.bytes_sent > out.run.msgs_sent);
+    }
+
+    #[test]
+    fn runs_without_the_op_log_match_runs_with_it() {
+        // `record_ops: false` also builds Algorithm 1 nodes without their
+        // execution logs; nothing a run emits may change.
+        let p = params5();
+        let spec = erase(FifoQueue::new());
+        let mut schedule = Schedule::new();
+        for i in 0..40i64 {
+            let inv = match i % 3 {
+                0 => Invocation::new("enqueue", i),
+                1 => Invocation::nullary("dequeue"),
+                _ => Invocation::nullary("peek"),
+            };
+            schedule = schedule.arrival(Pid(i as usize % p.n), Time(900 * i), inv);
+        }
+        let recovery = crate::reliable::RecoveryConfig::standard(p);
+        for algo in [
+            Algorithm::Wtlw { x: Time::ZERO },
+            Algorithm::BatchedWtlw { x: Time::ZERO, tick: p.epsilon },
+            Algorithm::ReliableWtlw { x: Time::ZERO, recovery },
+        ] {
+            let emitted = |record_ops: bool| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let cfg = SimConfig { record_ops, ..SimConfig::new(p, DelaySpec::AllMax) }
+                    .with_schedule(schedule.clone())
+                    .with_op_sink(tx);
+                let run = run_backend(&algo, &spec, &cfg).expect("queue supported").run;
+                let events: Vec<String> = rx.try_iter().map(|e| format!("{e:?}")).collect();
+                (events, run.events, run.msgs_sent, run.complete(), run.suspect)
+            };
+            let (on, off) = (emitted(true), emitted(false));
+            assert_eq!(on.0.len(), 80, "{algo:?}");
+            assert_eq!(on, off, "{algo:?}");
+        }
     }
 
     #[test]

@@ -145,6 +145,13 @@ impl BatchWtlwNode {
         self.announcements
     }
 
+    /// Keep (the default) or skip the inner node's execution logs (see
+    /// [`WtlwNode::with_logs`]).
+    pub(crate) fn with_logs(mut self, keep: bool) -> Self {
+        self.inner = self.inner.with_logs(keep);
+        self
+    }
+
     /// The wrapped Algorithm-1 node.
     pub fn inner(&self) -> &WtlwNode {
         &self.inner

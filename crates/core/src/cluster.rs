@@ -197,6 +197,17 @@ impl AnyNode {
             Algorithm::NaiveLocal(wait) => AnyNode::Naive(NaiveLocalNode::new(spec, wait)),
         }
     }
+
+    /// Keep (the default) or skip the Algorithm 1 execution logs of the
+    /// nodes that have them (see [`WtlwNode::with_logs`]).
+    pub(crate) fn with_logs(self, keep: bool) -> AnyNode {
+        match self {
+            AnyNode::Wtlw(n) => AnyNode::Wtlw(n.with_logs(keep)),
+            AnyNode::Batch(n) => AnyNode::Batch(n.with_logs(keep)),
+            AnyNode::Rel(n) => AnyNode::Rel(n.with_logs(keep)),
+            other => other,
+        }
+    }
 }
 
 /// The timer of a timer-free node, as an [`AnyTimer`] (it has no values).

@@ -215,6 +215,13 @@ impl ReliableWtlwNode {
         &self.violations
     }
 
+    /// Keep (the default) or skip the inner node's execution logs (see
+    /// [`WtlwNode::with_logs`]).
+    pub(crate) fn with_logs(mut self, keep: bool) -> Self {
+        self.inner = self.inner.with_logs(keep);
+        self
+    }
+
     /// The wrapped Algorithm-1 node.
     pub fn inner(&self) -> &WtlwNode {
         &self.inner
@@ -225,9 +232,7 @@ impl ReliableWtlwNode {
     /// accessor read). A mutator arriving below it is too late to be ordered
     /// correctly.
     fn frontier(&self) -> Option<Timestamp> {
-        let m = self.inner.mutator_log.last().map(|e| e.ts);
-        let a = self.inner.accessor_log.last().map(|e| e.ts);
-        m.max(a)
+        self.inner.frontier()
     }
 
     /// Run an inner-node handler, track any broadcasts it produces for

@@ -185,10 +185,17 @@ pub struct WtlwNode {
     pending_mixed: Option<Timestamp>,
     /// Number of mutators executed on the local copy (diagnostics).
     executed: u64,
-    /// Mutators executed on the local copy, in execution order.
+    /// Mutators executed on the local copy, in execution order. Empty when
+    /// [`crate::backend::run_backend`] built the node for a run with
+    /// `SimConfig::record_ops` off: the log grows with the run.
     pub mutator_log: Vec<ExecutedMutator>,
-    /// Locally-invoked pure accessors, in execution order.
+    /// Locally-invoked pure accessors, in execution order (likewise).
     pub accessor_log: Vec<ExecutedAccessor>,
+    /// Whether the two logs above are kept.
+    logging: bool,
+    /// Timestamps of the last executed mutator and the last local accessor.
+    last_mutator: Option<Timestamp>,
+    last_accessor: Option<Timestamp>,
 }
 
 impl WtlwNode {
@@ -211,7 +218,23 @@ impl WtlwNode {
             executed: 0,
             mutator_log: Vec::new(),
             accessor_log: Vec::new(),
+            logging: true,
+            last_mutator: None,
+            last_accessor: None,
         }
+    }
+
+    /// Keep (the default) or skip the execution logs, which Construction
+    /// 1's verifier reads.
+    pub(crate) fn with_logs(mut self, keep: bool) -> Self {
+        self.logging = keep;
+        self
+    }
+
+    /// The local execution frontier: the timestamp of the last executed
+    /// mutator or local accessor, whichever is larger.
+    pub(crate) fn frontier(&self) -> Option<Timestamp> {
+        self.last_mutator.max(self.last_accessor)
     }
 
     /// Number of mutators executed on the local copy so far.
@@ -251,10 +274,13 @@ impl WtlwNode {
             let Reverse((ts, inv)) = self.to_execute.pop().expect("peeked entry");
             let ret = self.object.apply(inv.op, &inv.arg);
             self.executed += 1;
-            self.mutator_log.push(ExecutedMutator {
-                ts,
-                instance: OpInstance { op: inv.op, arg: inv.arg.clone(), ret: ret.clone() },
-            });
+            self.last_mutator = Some(ts);
+            if self.logging {
+                self.mutator_log.push(ExecutedMutator {
+                    ts,
+                    instance: OpInstance { op: inv.op, arg: inv.arg.clone(), ret: ret.clone() },
+                });
+            }
             if Some(ts) != firing {
                 fx.cancel_timer(WtlwTimer::Execute { ts });
             }
@@ -316,11 +342,14 @@ impl Node for WtlwNode {
                 // the accessor locally and respond.
                 self.drain_up_to(ts, None, fx);
                 let ret = self.object.apply(inv.op, &inv.arg);
-                self.accessor_log.push(ExecutedAccessor {
-                    ts,
-                    instance: OpInstance { op: inv.op, arg: inv.arg.clone(), ret: ret.clone() },
-                    after: self.mutator_log.len(),
-                });
+                self.last_accessor = Some(ts);
+                if self.logging {
+                    self.accessor_log.push(ExecutedAccessor {
+                        ts,
+                        instance: OpInstance { op: inv.op, arg: inv.arg.clone(), ret: ret.clone() },
+                        after: self.mutator_log.len(),
+                    });
+                }
                 fx.respond(ret);
             }
             WtlwTimer::RespondMop => {

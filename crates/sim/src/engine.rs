@@ -5,15 +5,21 @@
 //!
 //! Determinism: events are processed in `(real time, class, sequence)` order,
 //! where simultaneous events order deliveries before timers before
-//! invocations; all delay models are pure functions. Re-running the same
-//! [`SimConfig`] always produces the identical [`Run`] — the property the
-//! shifting experiments (Theorem 1) rely on.
+//! invocations; all delay models are pure functions. Pre-scheduled
+//! invocations (timed, open and streamed arrivals) are not preloaded into the
+//! event heap: a time-ordered cursor yields them, and the loop merges it with
+//! the heap, which then holds only the work in flight. A pre-scheduled
+//! invocation's sequence is its setup rank (timed, then open, then streamed,
+//! each in insertion order), so it processes before every event pushed while
+//! running at the same time and class. Re-running the same [`SimConfig`]
+//! always produces the identical [`Run`] — the property the shifting
+//! experiments (Theorem 1) rely on.
 
 use crate::delay::DelaySpec;
 use crate::faults::{FaultPlan, InjectedFault};
 use crate::node::{Effects, Node};
 use crate::run::{MsgRecord, OpRecord, Run, StepTrigger, ViewStep};
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, TimedInvocation};
 use crate::time::{ModelParams, Pid, Time};
 use lintime_adt::spec::Invocation;
 use lintime_adt::value::Value;
@@ -39,6 +45,15 @@ pub struct SimConfig {
     pub record_messages: bool,
     /// Record per-process views (needed for view-equivalence checks).
     pub record_views: bool,
+    /// Record every operation in [`Run::ops`] (the default). Off, the log
+    /// keeps only the operations that never responded (still pending at the
+    /// end, or invoked at a crashed process), so [`Run::complete`],
+    /// [`Run::pending`] and [`Run::crashed_pending`] stay truthful while
+    /// completed operations reach consumers only through
+    /// [`SimConfig::op_sink`]. The engine's memory then tracks the
+    /// operations in flight, not the run length, and `run_backend` also
+    /// builds Algorithm 1 nodes without their execution logs.
+    pub record_ops: bool,
     /// Hard stop: ignore events after this real time (None = run to
     /// quiescence).
     pub max_real_time: Option<Time>,
@@ -102,6 +117,7 @@ impl SimConfig {
             schedule: Schedule::new(),
             record_messages: false,
             record_views: false,
+            record_ops: true,
             max_real_time: None,
             max_events: 50_000_000,
             faults: None,
@@ -236,6 +252,7 @@ impl SimConfig {
             schedule: self.schedule.shifted(x),
             record_messages: self.record_messages,
             record_views: self.record_views,
+            record_ops: self.record_ops,
             max_real_time: self.max_real_time,
             max_events: self.max_events,
             faults: self.faults.clone(),
@@ -284,7 +301,7 @@ enum EventKind<M, T> {
     },
 }
 
-/// Heap key: `(time, class, seq)`. Lower class processes first at equal
+/// Event key: `(time, class, seq)`. Lower class processes first at equal
 /// times: deliveries (0), then timers (1), then invocations (2).
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct EventKey {
@@ -316,10 +333,163 @@ impl<M, T> Ord for Entry<M, T> {
     }
 }
 
+/// The heap of events created while the run executes: deliveries, timers,
+/// scripted invocations, admission markers and stall deferrals. Sequence
+/// numbers are handed out in push order, so at equal `(time, class)` the
+/// earlier push processes first.
+struct EventHeap<M, T> {
+    heap: BinaryHeap<Reverse<Entry<M, T>>>,
+    seq: u64,
+    /// `sim.heap.peak`, when observability is active.
+    peak: Option<lintime_obs::Gauge>,
+}
+
+impl<M, T> EventHeap<M, T> {
+    fn push(&mut self, time: Time, class: u8, pid: Pid, kind: EventKind<M, T>) {
+        let key = EventKey { time, class, seq: self.seq };
+        self.seq += 1;
+        self.heap.push(Reverse(Entry { key, pid, kind }));
+        if let Some(g) = &self.peak {
+            g.set_max(self.heap.len() as i64);
+        }
+    }
+
+    /// `(time, class)` of the earliest event.
+    fn peek(&self) -> Option<(Time, u8)> {
+        self.heap.peek().map(|Reverse(e)| (e.key.time, e.key.class))
+    }
+
+    fn pop(&mut self) -> Option<Entry<M, T>> {
+        self.heap.pop().map(|Reverse(e)| e)
+    }
+}
+
+/// One source of pre-scheduled invocations, read in time order.
+enum Source<'a> {
+    /// A `Vec` already in time order, read in place.
+    InOrder(std::slice::Iter<'a, TimedInvocation>),
+    /// A `Vec` out of time order, read through a stable index sort (equal
+    /// times keep insertion order).
+    Sorted(&'a [TimedInvocation], std::vec::IntoIter<usize>),
+    /// A replay of an [`ArrivalStream`](crate::schedule::ArrivalStream).
+    Lazy(Box<dyn Iterator<Item = TimedInvocation>>),
+}
+
+impl<'a> Source<'a> {
+    fn of(v: &'a [TimedInvocation]) -> Source<'a> {
+        if v.windows(2).all(|w| w[0].at <= w[1].at) {
+            return Source::InOrder(v.iter());
+        }
+        let mut order: Vec<usize> = (0..v.len()).collect();
+        order.sort_by_key(|&i| v[i].at);
+        Source::Sorted(v, order.into_iter())
+    }
+}
+
+impl Iterator for Source<'_> {
+    type Item = TimedInvocation;
+
+    fn next(&mut self) -> Option<TimedInvocation> {
+        match self {
+            Source::InOrder(it) => it.next().cloned(),
+            Source::Sorted(v, order) => order.next().map(|i| v[i].clone()),
+            Source::Lazy(it) => it.next(),
+        }
+    }
+}
+
+/// A source with its next invocation pulled.
+struct Lane<'a> {
+    source: Source<'a>,
+    kind: InvokeSource,
+    head: Option<TimedInvocation>,
+    /// Time of the last invocation taken from this lane.
+    last: Time,
+}
+
+/// Every pre-scheduled invocation (`Schedule::timed`, then `Schedule::open`,
+/// then `Schedule::stream`) as one time-ordered stream. At equal times the
+/// earlier lane wins, and within a lane insertion order wins: that is each
+/// invocation's setup rank. The engine merges this cursor with its
+/// [`EventHeap`] on `(time, class, seq)`. Every cursor item is class 2 and
+/// ranks ahead of every heap entry at the same `(time, class)`, as if its
+/// setup rank were a sequence number below all of the heap's.
+struct Cursor<'a> {
+    lanes: Vec<Lane<'a>>,
+    /// Lane holding the earliest head.
+    next: Option<usize>,
+    n: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(schedule: &'a Schedule, n: usize) -> Cursor<'a> {
+        let sources = [
+            (Source::of(&schedule.timed), InvokeSource::Timed),
+            (Source::of(&schedule.open), InvokeSource::Open),
+        ]
+        .into_iter()
+        .chain(schedule.stream.iter().map(|s| (Source::Lazy(s.iter()), InvokeSource::Open)));
+        let lanes = sources
+            .filter_map(|(mut source, kind)| {
+                let head = Some(source.next()?);
+                Some(Lane { source, kind, head, last: Time(i64::MIN) })
+            })
+            .collect();
+        let mut cursor = Cursor { lanes, next: None, n };
+        cursor.next = cursor.earliest();
+        cursor
+    }
+
+    fn earliest(&self) -> Option<usize> {
+        let mut best: Option<(usize, Time)> = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(h) = &lane.head {
+                if best.is_none_or(|(_, t)| h.at < t) {
+                    best = Some((i, h.at));
+                }
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// Time of the next invocation.
+    fn peek(&self) -> Option<Time> {
+        self.next.and_then(|i| self.lanes[i].head.as_ref()).map(|h| h.at)
+    }
+
+    /// Take the next invocation. An `Err` names an arrival the schedule
+    /// could not have been validated against up front: one at an unknown
+    /// process, or one earlier than its lane's previous invocation (only an
+    /// [`ArrivalStream`](crate::schedule::ArrivalStream) can yield either).
+    fn pop(&mut self) -> Option<Result<(TimedInvocation, InvokeSource), String>> {
+        let lane = &mut self.lanes[self.next?];
+        let head = std::mem::replace(&mut lane.head, lane.source.next())?;
+        let last = std::mem::replace(&mut lane.last, head.at);
+        let kind = lane.kind;
+        self.next = self.earliest();
+        Some(if head.pid.0 >= self.n {
+            Err(format!("open arrival at unknown process {}", head.pid))
+        } else if head.at < last {
+            Err(format!("arrival stream went back in time: {} after {last}", head.at))
+        } else {
+            Ok((head, kind))
+        })
+    }
+}
+
+/// Where a pending operation's record lives.
+enum Slot {
+    /// At this index of the op log.
+    Logged(usize),
+    /// Here, with [`SimConfig::record_ops`] off, until the operation
+    /// responds; a record that never responds joins the log at the end.
+    Held(OpRecord),
+}
+
 struct ProcState {
-    /// Index into `ops` of the pending operation, if any, and where it came
-    /// from (scripts only advance on their own operations' responses).
-    pending_op: Option<(usize, InvokeSource)>,
+    /// The pending operation's record, if any, and where it came from
+    /// (scripts only advance on their own operations' responses).
+    pending_op: Option<(Slot, InvokeSource)>,
     /// Remaining closed-loop script invocations.
     script: VecDeque<Invocation>,
     script_gap: Time,
@@ -399,8 +569,6 @@ pub fn simulate_full<N: Node>(
     let n = params.n;
 
     let mut nodes: Vec<N> = (0..n).map(|i| make_node(Pid(i))).collect();
-    let mut heap: BinaryHeap<Reverse<Entry<N::Msg, N::Timer>>> = BinaryHeap::new();
-    let mut seq: u64 = 0;
     let mut next_timer_id: u64 = 0;
     let mut dead_timers: HashSet<u64> = HashSet::new();
     // Tags of live timers per process, parallel to ids, for cancellation.
@@ -466,39 +634,38 @@ pub fn simulate_full<N: Node>(
         return (run, nodes);
     }
 
-    // Seed the heap from the schedule.
-    for t in &config.schedule.timed {
-        heap.push(Reverse(Entry {
-            key: EventKey { time: t.at, class: 2, seq },
-            pid: t.pid,
-            kind: EventKind::Invoke { inv: t.inv.clone(), source: InvokeSource::Timed },
-        }));
-        seq += 1;
-    }
-    for t in &config.schedule.open {
-        heap.push(Reverse(Entry {
-            key: EventKey { time: t.at, class: 2, seq },
-            pid: t.pid,
-            kind: EventKind::Invoke { inv: t.inv.clone(), source: InvokeSource::Open },
-        }));
-        seq += 1;
-    }
+    let mut heap: EventHeap<N::Msg, N::Timer> = EventHeap {
+        heap: BinaryHeap::new(),
+        seq: 0,
+        peak: obs.is_active().then(|| obs.metrics.gauge("sim.heap.peak")),
+    };
+    let mut cursor = Cursor::new(&config.schedule, n);
+    // One effect sink for every event: the loop drains it after each
+    // handler, so its buffers keep their capacity.
+    let mut fx: Effects<N::Msg, N::Timer> = Effects::new(Pid(0), n, Time::ZERO);
     for s in &config.schedule.scripts {
         let p = &mut procs[s.pid.0];
         p.script = s.invocations.iter().cloned().collect();
         p.script_gap = s.gap;
         if let Some(first) = p.script.pop_front() {
-            heap.push(Reverse(Entry {
-                key: EventKey { time: s.start, class: 2, seq },
-                pid: s.pid,
-                kind: EventKind::Invoke { inv: first, source: InvokeSource::Script },
-            }));
-            seq += 1;
+            heap.push(
+                s.start,
+                2,
+                s.pid,
+                EventKind::Invoke { inv: first, source: InvokeSource::Script },
+            );
         }
     }
 
-    while let Some(Reverse(entry)) = heap.pop() {
-        let now = entry.key.time;
+    loop {
+        // Merge the cursor with the heap: a pre-scheduled invocation goes
+        // first unless the heap holds an earlier time or a lower class.
+        let (now, from_cursor) = match (cursor.peek(), heap.peek()) {
+            (None, None) => break,
+            (Some(t), Some(top)) if (t, 2) > top => (top.0, false),
+            (Some(t), _) => (t, true),
+            (None, Some(top)) => (top.0, false),
+        };
         if let Some(cap) = config.max_real_time {
             if now > cap {
                 break;
@@ -509,7 +676,19 @@ pub fn simulate_full<N: Node>(
             truncated = true;
             break;
         }
-        let pid = entry.pid;
+        let (pid, class, kind) = if from_cursor {
+            match cursor.pop().expect("peeked") {
+                Ok((t, source)) => (t.pid, 2, EventKind::Invoke { inv: t.inv, source }),
+                Err(e) => {
+                    errors.push(e);
+                    truncated = true;
+                    break;
+                }
+            }
+        } else {
+            let e = heap.pop().expect("peeked");
+            (e.pid, e.key.class, e.kind)
+        };
 
         // Fault injection: crashed processes take no further steps; stalled
         // processes defer their events to the end of the stall window.
@@ -528,7 +707,7 @@ pub fn simulate_full<N: Node>(
                     // An invocation at a crashed process is recorded (the
                     // user observes no response — the run is incomplete),
                     // other events are silently lost with the process.
-                    if let EventKind::Invoke { inv, .. } = entry.kind {
+                    if let EventKind::Invoke { inv, .. } = kind {
                         ops.push(OpRecord {
                             pid,
                             invocation: inv,
@@ -550,12 +729,7 @@ pub fn simulate_full<N: Node>(
                 if let Some(m) = &metrics {
                     m.stall_deferrals.inc();
                 }
-                heap.push(Reverse(Entry {
-                    key: EventKey { time: until, class: entry.key.class, seq },
-                    pid,
-                    kind: entry.kind,
-                }));
-                seq += 1;
+                heap.push(until, class, pid, kind);
                 continue;
             }
         }
@@ -565,7 +739,7 @@ pub fn simulate_full<N: Node>(
         // process first (or an epoch barrier started), the queue is left
         // untouched and the next response — or the barrier reopening —
         // schedules a fresh marker.
-        let (kind, admitted) = match entry.kind {
+        let (kind, admitted) = match kind {
             EventKind::AdmitIngress => {
                 if procs[pid.0].pending_op.is_some() || draining {
                     continue;
@@ -589,7 +763,7 @@ pub fn simulate_full<N: Node>(
         }
         last_time = last_time.max(now);
         let local = now + config.offsets[pid.0];
-        let mut fx: Effects<N::Msg, N::Timer> = Effects::new(pid, n, local);
+        fx.reset(pid, local);
 
         let trigger = match kind {
             EventKind::Invoke { inv, source } => {
@@ -636,14 +810,20 @@ pub fn simulate_full<N: Node>(
                         arg: inv.arg.clone(),
                     });
                 }
-                procs[pid.0].pending_op = Some((ops.len(), source));
-                ops.push(OpRecord {
+                let record = OpRecord {
                     pid,
                     invocation: inv.clone(),
                     ret: None,
                     t_invoke: now,
                     t_respond: None,
-                });
+                };
+                let slot = if config.record_ops {
+                    ops.push(record);
+                    Slot::Logged(ops.len() - 1)
+                } else {
+                    Slot::Held(record)
+                };
+                procs[pid.0].pending_op = Some((slot, source));
                 let trig = config.record_views.then(|| StepTrigger::Invoke(format!("{inv:?}")));
                 nodes[pid.0].on_invoke(inv, &mut fx);
                 trig
@@ -775,32 +955,17 @@ pub fn simulate_full<N: Node>(
                             t_recv: dup_deliverable.then_some(t_extra),
                         });
                     }
-                    heap.push(Reverse(Entry {
-                        key: EventKey { time: t_extra, class: 0, seq },
-                        pid: to,
-                        kind: EventKind::Deliver { from: pid, msg: msg.clone() },
-                    }));
-                    seq += 1;
+                    heap.push(t_extra, 0, to, EventKind::Deliver { from: pid, msg: msg.clone() });
                 }
             }
-            heap.push(Reverse(Entry {
-                key: EventKey { time: t_recv, class: 0, seq },
-                pid: to,
-                kind: EventKind::Deliver { from: pid, msg },
-            }));
-            seq += 1;
+            heap.push(t_recv, 0, to, EventKind::Deliver { from: pid, msg });
         }
         for (local_fire, tag) in fx.timers_set.drain(..) {
             let real_fire = local_fire - config.offsets[pid.0];
             let id = next_timer_id;
             next_timer_id += 1;
             live_tags[pid.0].push((id, tag.clone()));
-            heap.push(Reverse(Entry {
-                key: EventKey { time: real_fire, class: 1, seq },
-                pid,
-                kind: EventKind::Timer { id, tag },
-            }));
-            seq += 1;
+            heap.push(real_fire, 1, pid, EventKind::Timer { id, tag });
         }
         let response = fx.response.take();
         if config.record_views {
@@ -815,37 +980,37 @@ pub fn simulate_full<N: Node>(
         }
         if let Some(ret) = response {
             match procs[pid.0].pending_op.take() {
-                Some((op_idx, source)) => {
+                Some((slot, source)) => {
+                    let record = match &slot {
+                        Slot::Logged(i) => &ops[*i],
+                        Slot::Held(record) => record,
+                    };
                     obs.emit(now.0, Some(pid.0), EventCategory::OpRespond, || {
                         format!(
                             "{:?} -> {ret:?} (latency {})",
-                            ops[op_idx].invocation,
-                            now - ops[op_idx].t_invoke
+                            record.invocation,
+                            now - record.t_invoke
                         )
                     });
                     if let Some(m) = &metrics {
                         m.responses.inc();
-                        m.op_latency.observe_i64((now - ops[op_idx].t_invoke).0);
+                        m.op_latency.observe_i64((now - record.t_invoke).0);
                     }
                     if let Some(sink) = &config.op_sink {
                         let _ = sink.send(OpEvent::Respond { pid, t: now, ret: ret.clone() });
                     }
-                    ops[op_idx].ret = Some(ret);
-                    ops[op_idx].t_respond = Some(now);
+                    if let Slot::Logged(i) = slot {
+                        ops[i].ret = Some(ret);
+                        ops[i].t_respond = Some(now);
+                    }
                     // Closed-loop: a *scripted* response schedules the next
                     // scripted invocation.
                     if source == InvokeSource::Script {
                         if let Some(next_inv) = procs[pid.0].script.pop_front() {
                             let at = now + procs[pid.0].script_gap;
-                            heap.push(Reverse(Entry {
-                                key: EventKey { time: at, class: 2, seq },
-                                pid,
-                                kind: EventKind::Invoke {
-                                    inv: next_inv,
-                                    source: InvokeSource::Script,
-                                },
-                            }));
-                            seq += 1;
+                            let kind =
+                                EventKind::Invoke { inv: next_inv, source: InvokeSource::Script };
+                            heap.push(at, 2, pid, kind);
                         }
                     }
                     pending_count = pending_count.saturating_sub(1);
@@ -855,12 +1020,7 @@ pub fn simulate_full<N: Node>(
                         // event class — the marker pops it at processing
                         // time, after any same-instant arrivals queue up).
                         if !procs[pid.0].ingress.is_empty() {
-                            heap.push(Reverse(Entry {
-                                key: EventKey { time: now, class: 2, seq },
-                                pid,
-                                kind: EventKind::AdmitIngress,
-                            }));
-                            seq += 1;
+                            heap.push(now, 2, pid, EventKind::AdmitIngress);
                         }
                     } else if pending_count == 0 {
                         // Epoch barrier: every pending operation has
@@ -877,12 +1037,7 @@ pub fn simulate_full<N: Node>(
                         }
                         for (i, proc) in procs.iter().enumerate().take(n) {
                             if !proc.ingress.is_empty() {
-                                heap.push(Reverse(Entry {
-                                    key: EventKey { time: reopen, class: 2, seq },
-                                    pid: Pid(i),
-                                    kind: EventKind::AdmitIngress,
-                                }));
-                                seq += 1;
+                                heap.push(reopen, 2, Pid(i), EventKind::AdmitIngress);
                             }
                         }
                     }
@@ -892,6 +1047,18 @@ pub fn simulate_full<N: Node>(
                 }
             }
         }
+    }
+
+    // Without the op log, the operations still pending join the records of
+    // invocations at crashed processes: the log then holds exactly the
+    // operations that never responded, in invocation-time order.
+    if !config.record_ops {
+        for p in &mut procs {
+            if let Some((Slot::Held(record), _)) = p.pending_op.take() {
+                ops.push(record);
+            }
+        }
+        ops.sort_by_key(|o| o.t_invoke);
     }
 
     // Crash honesty accounting: make every crash that took effect during the
@@ -1343,6 +1510,209 @@ mod tests {
             simulate(&cfg.with_obs(obs), |_| EchoNode { wait: Time(9), ping_peers: true });
         assert_eq!(bare.ops, observed.ops);
         assert_eq!(bare.events, observed.events);
+    }
+
+    /// Logs every handler call as `"{time} {pid} {event}"`. Invocations of
+    /// `send` message p0 and respond at once, `hold` responds after 40
+    /// ticks, anything else after 10.
+    struct LogNode(std::sync::Arc<std::sync::Mutex<Vec<String>>>);
+
+    impl LogNode {
+        fn log(&self, fx: &Effects<(), u8>, what: String) {
+            self.0.lock().unwrap().push(format!("{} {} {what}", fx.local_time().0, fx.pid()));
+        }
+    }
+
+    impl Node for LogNode {
+        type Msg = ();
+        type Timer = u8;
+        fn on_invoke(&mut self, inv: Invocation, fx: &mut Effects<(), u8>) {
+            self.log(fx, format!("invoke {}", inv.op));
+            match inv.op {
+                "send" => {
+                    fx.send(Pid(0), ());
+                    fx.respond(Value::Unit);
+                }
+                "hold" => fx.set_timer(Time(40), 0),
+                _ => fx.set_timer(Time(10), 0),
+            }
+        }
+        fn on_deliver(&mut self, _from: Pid, _msg: (), fx: &mut Effects<(), u8>) {
+            self.log(fx, "deliver".into());
+        }
+        fn on_timer(&mut self, _t: u8, fx: &mut Effects<(), u8>) {
+            self.log(fx, "timer".into());
+            fx.respond(Value::Unit);
+        }
+    }
+
+    #[test]
+    fn same_instant_events_follow_the_documented_order() {
+        // Timed and open invocations are inserted out of time order. At
+        // t = 100 six events tie: a delivery (p1's send at 50, delay d = 50),
+        // p2's timer (its hold from 60), the timed t3, the open o1, the
+        // script's s0, and the admission of o2 (queued at p2 since 70,
+        // admitted by the timer's response). Deliveries go first, then
+        // timers, then invocations: timed, open, script, then the marker
+        // pushed while running. o3 ties with o1 at p1 and queues behind it.
+        let params = ModelParams::new(4, Time(50), Time(10), Time(5));
+        let schedule = Schedule::new()
+            .at(Pid(3), Time(100), Invocation::nullary("t3"))
+            .at(Pid(1), Time(50), Invocation::nullary("send"))
+            .at(Pid(2), Time(60), Invocation::nullary("hold"))
+            .arrival(Pid(1), Time(100), Invocation::nullary("o1"))
+            .arrival(Pid(2), Time(70), Invocation::nullary("o2"))
+            .arrival(Pid(1), Time(100), Invocation::nullary("o3"))
+            .script(crate::schedule::Script {
+                pid: Pid(0),
+                start: Time(100),
+                gap: Time::ZERO,
+                invocations: vec![Invocation::nullary("s0")],
+            });
+        let cfg = SimConfig::new(params, DelaySpec::AllMax).with_schedule(schedule);
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let run = simulate(&cfg, |_| LogNode(log.clone()));
+        assert!(run.complete() && run.errors.is_empty(), "{run}");
+        let got = log.lock().unwrap().clone();
+        let want = [
+            "50 p1 invoke send",
+            "60 p2 invoke hold",
+            "100 p0 deliver",
+            "100 p2 timer",
+            "100 p3 invoke t3",
+            "100 p1 invoke o1",
+            "100 p0 invoke s0",
+            "100 p2 invoke o2",
+            "110 p3 timer",
+            "110 p1 timer",
+            "110 p0 timer",
+            "110 p2 timer",
+            "110 p1 invoke o3",
+            "120 p1 timer",
+        ];
+        assert_eq!(got, want);
+    }
+
+    /// Every `OpEvent` of a run, rendered.
+    fn op_events(cfg: SimConfig, make: impl FnMut(Pid) -> EchoNode) -> (Run, Vec<String>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = simulate(&cfg.with_op_sink(tx), make);
+        (run, rx.try_iter().map(|e| format!("{e:?}")).collect())
+    }
+
+    #[test]
+    fn switching_the_op_log_off_changes_nothing_else() {
+        use crate::faults::FaultPlan;
+        let mut schedule = Schedule::new().script(crate::schedule::Script {
+            pid: Pid(3),
+            start: Time(5),
+            gap: Time(7),
+            invocations: (0..6).map(|i| Invocation::new("echo", i)).collect(),
+        });
+        for i in 0..24 {
+            schedule =
+                schedule.arrival(Pid(i % 3), Time(4 * i as i64), Invocation::new("echo", i as i64));
+        }
+        let plans = [
+            FaultPlan::new(1).crash(Pid(1), Time(40)),
+            FaultPlan::new(2).stall(Pid(0), Time(10), Time(90)),
+        ];
+        for plan in plans {
+            let cfg = config().with_schedule(schedule.clone()).with_faults(plan.clone());
+            let off_cfg = SimConfig { record_ops: false, ..cfg.clone() };
+            let (on, on_events) = op_events(cfg, |_| EchoNode { wait: Time(30), ping_peers: true });
+            let (off, off_events) =
+                op_events(off_cfg, |_| EchoNode { wait: Time(30), ping_peers: true });
+            assert_eq!(on_events, off_events, "{plan:?}");
+            assert_eq!(
+                (on.events, on.unadmitted, on.crashed_pending, on.msgs_sent, on.complete()),
+                (off.events, off.unadmitted, off.crashed_pending, off.msgs_sent, off.complete()),
+                "{plan:?}"
+            );
+            // The log keeps exactly the operations that never responded.
+            let pending: Vec<OpRecord> = on.pending().cloned().collect();
+            assert_eq!(off.ops, pending, "{plan:?}");
+            let responses = on_events.iter().filter(|e| e.starts_with("Respond")).count();
+            assert_eq!(responses, on.completed().count());
+        }
+        // The crash left operations pending: the log-free run must say so.
+        let crashed =
+            config().with_schedule(schedule).with_faults(FaultPlan::new(1).crash(Pid(1), Time(40)));
+        let off = simulate(&SimConfig { record_ops: false, ..crashed }, |_| EchoNode {
+            wait: Time(30),
+            ping_peers: true,
+        });
+        assert!(!off.complete() && off.crashed_pending > 0);
+    }
+
+    /// `count` arrivals, one every `gap` ticks, rotating over `procs`.
+    fn arrivals(count: usize, gap: i64, procs: usize) -> Vec<TimedInvocation> {
+        (0..count)
+            .map(|i| TimedInvocation {
+                pid: Pid(i % procs),
+                at: Time(gap * i as i64),
+                inv: Invocation::new("echo", i as i64),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_arrival_stream_runs_like_the_same_vec() {
+        let arrivals = arrivals(40, 3, 4);
+        let mut vec_schedule = Schedule::new();
+        for a in &arrivals {
+            vec_schedule = vec_schedule.arrival(a.pid, a.at, a.inv.clone());
+        }
+        let replay = arrivals.clone();
+        let stream = crate::schedule::ArrivalStream::new(move || replay.clone().into_iter());
+        let lazy = config().with_schedule(Schedule::new().arrival_stream(stream));
+        let eager = config().with_schedule(vec_schedule);
+        let node = |_| EchoNode { wait: Time(20), ping_peers: true };
+        let (a, b) = (simulate(&eager, node), simulate(&lazy, node));
+        assert_eq!((a.ops, a.events, a.msgs_sent), (b.ops.clone(), b.events, b.msgs_sent));
+        assert!(b.complete() && b.ops.len() == 40);
+        // A re-run replays the stream from its start.
+        assert_eq!(simulate(&lazy, node).ops, b.ops);
+    }
+
+    #[test]
+    fn a_bad_arrival_stream_ends_the_run_with_an_error() {
+        let node = |_| EchoNode { wait: Time(20), ping_peers: false };
+        // An unknown process, after two good arrivals.
+        let mut bad = arrivals(3, 5, 4);
+        bad[2].pid = Pid(9);
+        let stream = crate::schedule::ArrivalStream::new(move || bad.clone().into_iter());
+        let cfg = config().with_schedule(Schedule::new().arrival_stream(stream));
+        assert!(cfg.validate().is_ok(), "a stream cannot be checked up front");
+        let run = simulate(&cfg, node);
+        assert!(run.truncated);
+        assert!(run.errors.iter().any(|e| e.contains("unknown process p9")), "{:?}", run.errors);
+        assert_eq!(run.ops.len(), 2);
+        // A stream that goes back in time.
+        let mut back = arrivals(3, 5, 4);
+        back[2].at = Time(1);
+        let stream = crate::schedule::ArrivalStream::new(move || back.clone().into_iter());
+        let run = simulate(&config().with_schedule(Schedule::new().arrival_stream(stream)), node);
+        assert!(run.truncated);
+        assert!(run.errors.iter().any(|e| e.contains("back in time")), "{:?}", run.errors);
+    }
+
+    #[test]
+    fn the_event_heap_is_sized_by_work_in_flight() {
+        // Sparse open-loop arrivals (a few ops in flight, each broadcasting):
+        // the heap's high-water mark must not depend on the run length.
+        let peak = |count: usize| {
+            let (obs, _ring) = Obs::ring(16);
+            let cfg = config()
+                .with_obs(obs.clone())
+                .with_schedule(Schedule { open: arrivals(count, 2000, 4), ..Schedule::new() });
+            let run = simulate(&cfg, |_| EchoNode { wait: Time(1500), ping_peers: true });
+            assert!(run.complete() && run.ops.len() == count);
+            obs.metrics.gauge("sim.heap.peak").get()
+        };
+        let (one, four) = (peak(200), peak(800));
+        assert_eq!(one, four);
+        assert!(one > 0 && one < 32, "heap peak {one}");
     }
 
     #[test]

@@ -76,6 +76,15 @@ impl<M, T: PartialEq> Effects<M, T> {
         }
     }
 
+    /// Re-aim an emptied sink at the next transition, keeping its buffers'
+    /// capacity (the engine reuses one sink for every event).
+    pub(crate) fn reset(&mut self, pid: Pid, now_local: Time) {
+        debug_assert!(self.sends.is_empty() && self.timers_set.is_empty());
+        debug_assert!(self.timers_cancelled.is_empty() && self.response.is_none());
+        self.pid = pid;
+        self.now_local = now_local;
+    }
+
     /// This process's id.
     pub fn pid(&self) -> Pid {
         self.pid

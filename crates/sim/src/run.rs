@@ -99,7 +99,8 @@ pub struct Run {
     pub params: ModelParams,
     /// Clock offsets: local = real + `offsets[i]` at process `p_i`.
     pub offsets: Vec<Time>,
-    /// All operations, in invocation order.
+    /// All operations, in invocation order (only those that never
+    /// responded when [`crate::engine::SimConfig::record_ops`] is off).
     pub ops: Vec<OpRecord>,
     /// All messages (empty unless message recording was enabled).
     pub msgs: Vec<MsgRecord>,

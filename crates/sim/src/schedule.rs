@@ -9,12 +9,18 @@
 //!   `R_A(ρ, C, D)` prefix runs — "p₀ invokes the operation instances in ρ
 //!   sequentially … with no gaps" — and for throughput workloads).
 //!
+//! Open-loop arrivals come either as a `Vec` ([`Schedule::arrival`]) or as a
+//! lazy [`ArrivalStream`] that the engine pulls one arrival at a time, so a
+//! schedule of any length costs memory only for the operations in flight.
+//!
 //! The user constraint of Section 2.2 (at most one operation pending per
 //! process) is enforced by the engine; schedules that violate it produce a
 //! recorded error.
 
 use crate::time::{Pid, Time};
 use lintime_adt::spec::Invocation;
+use std::fmt;
+use std::sync::Arc;
 
 /// One invocation at an absolute real time.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,6 +48,44 @@ pub struct Script {
     pub invocations: Vec<Invocation>,
 }
 
+/// A re-creatable stream of open-loop arrivals in non-decreasing time order.
+/// Each [`ArrivalStream::iter`] call starts the stream afresh, so a
+/// configuration holding one stays `Clone` and a re-run replays the identical
+/// arrivals. An arrival at an unknown process, or one earlier than its
+/// predecessor, ends the run with an error and `truncated` set.
+#[derive(Clone)]
+pub struct ArrivalStream(Arc<StreamFactory>);
+
+type StreamFactory = dyn Fn() -> Box<dyn Iterator<Item = TimedInvocation>> + Send + Sync;
+
+impl ArrivalStream {
+    /// A stream whose every replay is `factory()`.
+    pub fn new<I>(factory: impl Fn() -> I + Send + Sync + 'static) -> ArrivalStream
+    where
+        I: Iterator<Item = TimedInvocation> + 'static,
+    {
+        ArrivalStream(Arc::new(move || Box::new(factory())))
+    }
+
+    /// A fresh replay of the stream.
+    pub fn iter(&self) -> Box<dyn Iterator<Item = TimedInvocation>> {
+        (self.0)()
+    }
+}
+
+impl fmt::Debug for ArrivalStream {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ArrivalStream(..)")
+    }
+}
+
+/// Two streams are equal iff they share one factory.
+impl PartialEq for ArrivalStream {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
 /// A complete invocation schedule.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schedule {
@@ -55,6 +99,9 @@ pub struct Schedule {
     /// error. This models clients that submit requests at their own rate,
     /// independent of service completions.
     pub open: Vec<TimedInvocation>,
+    /// Further open-loop arrivals, pulled lazily (at most one stream). At
+    /// equal times they rank after `timed` and `open`.
+    pub stream: Option<ArrivalStream>,
 }
 
 impl Schedule {
@@ -74,6 +121,13 @@ impl Schedule {
     /// until the pending operation responds.
     pub fn arrival(mut self, pid: Pid, at: Time, inv: Invocation) -> Self {
         self.open.push(TimedInvocation { pid, at, inv });
+        self
+    }
+
+    /// Pull open-loop arrivals from `stream` (see [`ArrivalStream`]).
+    pub fn arrival_stream(mut self, stream: ArrivalStream) -> Self {
+        assert!(self.stream.is_none(), "at most one arrival stream");
+        self.stream = Some(stream);
         self
     }
 
@@ -98,10 +152,12 @@ impl Schedule {
         })
     }
 
-    /// Total number of invocations in the schedule.
+    /// Total number of invocations in the schedule (counting an arrival
+    /// stream replays it).
     pub fn len(&self) -> usize {
         self.timed.len()
             + self.open.len()
+            + self.stream.as_ref().map_or(0, |s| s.iter().count())
             + self.scripts.iter().map(|s| s.invocations.len()).sum::<usize>()
     }
 
@@ -112,14 +168,17 @@ impl Schedule {
 
     /// Shift the schedule: each invocation at process `p_i` moves by `x[i]`
     /// (the schedule half of `shift(R, x̄)` — process `p_i`'s steps all move
-    /// by `x_i`).
+    /// by `x_i`). Shifting can reorder an arrival stream, so its arrivals
+    /// are materialized into `open`, after the existing ones.
     pub fn shifted(&self, x: &[Time]) -> Schedule {
+        let shift = |t: &TimedInvocation| TimedInvocation {
+            pid: t.pid,
+            at: t.at + x[t.pid.0],
+            inv: t.inv.clone(),
+        };
+        let streamed = self.stream.iter().flat_map(ArrivalStream::iter);
         Schedule {
-            timed: self
-                .timed
-                .iter()
-                .map(|t| TimedInvocation { pid: t.pid, at: t.at + x[t.pid.0], inv: t.inv.clone() })
-                .collect(),
+            timed: self.timed.iter().map(shift).collect(),
             scripts: self
                 .scripts
                 .iter()
@@ -130,11 +189,8 @@ impl Schedule {
                     invocations: s.invocations.clone(),
                 })
                 .collect(),
-            open: self
-                .open
-                .iter()
-                .map(|t| TimedInvocation { pid: t.pid, at: t.at + x[t.pid.0], inv: t.inv.clone() })
-                .collect(),
+            open: self.open.iter().map(shift).chain(streamed.map(|t| shift(&t))).collect(),
+            stream: None,
         }
     }
 
@@ -142,6 +198,9 @@ impl Schedule {
     pub fn merge(mut self, other: Schedule) -> Schedule {
         self.timed.extend(other.timed);
         self.open.extend(other.open);
+        if let Some(stream) = other.stream {
+            self = self.arrival_stream(stream);
+        }
         for s in other.scripts {
             self = self.script(s);
         }
@@ -213,6 +272,26 @@ mod tests {
         let m = s.merge(Schedule::new().arrival(Pid(0), Time(11), Invocation::nullary("read")));
         assert_eq!(m.open.len(), 3);
         assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn arrival_streams_replay_count_and_shift() {
+        let stream = ArrivalStream::new(|| {
+            (0..3).map(|i| TimedInvocation {
+                pid: Pid(i % 2),
+                at: Time(10 * i as i64),
+                inv: Invocation::new("write", i as i64),
+            })
+        });
+        let s = Schedule::new().arrival(Pid(1), Time(4), Invocation::nullary("read"));
+        let s = s.arrival_stream(stream.clone());
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.stream.as_ref().unwrap().iter().count(), 3, "every replay is whole");
+        assert_eq!(s.clone(), s);
+        let shifted = s.shifted(&[Time(100), Time(0)]);
+        assert!(shifted.stream.is_none());
+        let ats: Vec<Time> = shifted.open.iter().map(|t| t.at).collect();
+        assert_eq!(ats, vec![Time(4), Time(100), Time(10), Time(120)]);
     }
 
     #[test]
