@@ -1,6 +1,6 @@
 //! Ablation: the X tradeoff (Section 5). This bench measures the harness
 //! cost per X setting; the virtual-time results (|AOP| = d − X vs
-//! |MOP| = X + ε) are printed by `--bin x_tradeoff` and asserted exact.
+//! |MOP| = X + ε) are printed by `lintime report x_tradeoff` and asserted exact.
 
 use lintime_adt::prelude::*;
 use lintime_bench::microbench::Group;

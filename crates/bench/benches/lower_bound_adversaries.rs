@@ -2,87 +2,23 @@
 //! (Figures 1–10): wall-clock cost of building the proof's runs, executing
 //! the victim, and checking linearizability.
 
-use lintime_adt::prelude::*;
 use lintime_bench::microbench::Group;
-use lintime_bounds::adversary::{thm2_attack, thm3_attack, thm4_attack, thm5_attack};
-use lintime_core::cluster::Algorithm;
-use lintime_core::wtlw::Waits;
+use lintime_bounds::theorem::Theorem;
 use lintime_sim::prelude::*;
 
 fn main() {
     let p = ModelParams::default_experiment();
     let group = Group::new("adversaries").sample_size(20);
 
-    {
-        let spec = erase(FifoQueue::new());
-        let x = p.d - p.epsilon;
-        let mut w = Waits::standard(p, x);
-        w.aop_respond = Time(500);
-        group.bench("thm2_pure_accessor", || {
-            let r = thm2_attack(
-                p,
-                &spec,
-                Invocation::new("enqueue", 7),
-                Invocation::nullary("peek"),
-                Time(500),
-                w.mop_respond,
-                Algorithm::WtlwWaits(w),
-            );
-            assert!(r.outcome.violated());
-            r
-        });
-    }
-
-    {
-        let spec = erase(Register::new(0));
-        let mut w = Waits::standard(p, Time::ZERO);
-        w.mop_respond = Time(1500);
-        let args: Vec<Value> = (0..p.n as i64).map(|i| Value::Int(100 + i)).collect();
-        group.bench("thm3_last_sensitive", || {
-            let r = thm3_attack(
-                p,
-                &spec,
-                "write",
-                &args,
-                &[Invocation::nullary("read")],
-                Algorithm::WtlwWaits(w),
-            );
-            assert!(r.outcome.violated());
-            r
-        });
-    }
-
-    {
-        let spec = erase(RmwRegister::new(0));
-        let mut w = Waits::standard(p, Time::ZERO);
-        w.execute = p.u / 2;
-        group.bench("thm4_pair_free", || {
-            let r = thm4_attack(
-                p,
-                &spec,
-                Invocation::new("rmw", 1),
-                Invocation::new("rmw", 1),
-                Algorithm::WtlwWaits(w),
-            );
-            assert!(r.outcome.violated());
-            r
-        });
-    }
-
-    {
-        let spec = erase(FifoQueue::new());
-        let mut w = Waits::standard(p, Time::ZERO);
-        w.aop_respond -= p.m() * 2;
-        group.bench("thm5_sum", || {
-            let r = thm5_attack(
-                p,
-                &spec,
-                "enqueue",
-                Value::Int(1),
-                Value::Int(2),
-                Invocation::nullary("peek"),
-                Algorithm::WtlwWaits(w),
-            );
+    // One victim strictly inside each bound.
+    for (name, t, speed) in [
+        ("thm2_pure_accessor", Theorem::Thm2, Time(500)),
+        ("thm3_last_sensitive", Theorem::Thm3, Time(1500)),
+        ("thm4_pair_free", Theorem::Thm4, p.min_delay() + p.u / 2),
+        ("thm5_sum", Theorem::Thm5, p.d + p.epsilon - p.m() * 2),
+    ] {
+        group.bench(name, || {
+            let r = t.attack(p, speed);
             assert!(r.outcome.violated());
             r
         });

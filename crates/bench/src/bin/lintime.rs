@@ -2,9 +2,19 @@
 //!
 //! ```text
 //! lintime types                          list data types and operation classes
-//! lintime tables                         print Tables 1–6
-//! lintime fig11                          print Figure 11
-//! lintime attack <thm2|thm3|thm4|thm5>   run a lower-bound adversary sweep
+//! lintime report [<name>… | all]         print reports (bare: list the names)
+//!     --metrics-out <p>    save a metrics JSON snapshot of the fault sweep to <p>
+//! lintime attack [thm2|thm3|thm4|thm5|all|search|timelines]
+//!                                        Theorem 2–5 adversaries: one theorem's
+//!                                        sweep and control, all four (default),
+//!                                        the tick-exact crossover search, or the
+//!                                        proof runs drawn as timelines
+//! lintime faults [flags]                 drop-rate sweep + availability matrix;
+//!                                        exits 2 on a confirmed violation
+//!     --seeds <k>          seeds per cell, at least 1 (default 8)
+//!     --matrix-only        skip the drop-rate sweep
+//!     --matrix-out <p>     also write the matrix JSON to <p>
+//!     --metrics-out <p>    save a metrics JSON snapshot to <p>
 //! lintime simulate [flags]               run a workload and check it
 //!     --type <name>        data type (default fifo-queue)
 //!     --algo <a>           wtlw | centralized | broadcast | naive (default wtlw)
@@ -46,61 +56,56 @@
 //! ```
 
 use lintime_adt::prelude::*;
-use lintime_bench::genflags::FlagSet;
+use lintime_bench::experiments::{self, REPORTS};
+use lintime_bench::genflags::{FlagError, FlagSet};
+use lintime_bench::timeline;
 use lintime_bench::tracecmd::{self, TraceOptions};
-use lintime_bench::{experiments, timeline};
+use lintime_bounds::theorem::Theorem;
 use lintime_core::prelude::*;
+use lintime_obs::{Obs, Registry, TraceHandle};
 use lintime_sim::prelude::*;
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "usage: lintime <types|report|attack|faults|simulate|stream|serve|trace> [args]";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
         Some("types") => cmd_types(),
-        Some("tables") => cmd_tables(),
-        Some("fig11") => print!("{}", experiments::fig11_report()),
-        Some("attack") => {
-            if let Err(e) = cmd_attack(args.get(1).map(String::as_str)) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+        Some("report") => cmd_report(rest),
+        Some("attack") => cmd_attack(rest),
+        Some("faults") => match cmd_faults(rest) {
+            Ok(0) => Ok(()),
+            Ok(violations) => {
+                eprintln!(
+                    "FAIL: {violations} confirmed linearizability violations in tolerated cells"
+                );
+                return ExitCode::from(2);
             }
-        }
-        Some("simulate") => {
-            if let Err(e) = cmd_simulate(&args[1..]) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Some("stream") => {
-            if let Err(e) = cmd_stream(&args[1..]) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Some("serve") => {
-            if let Err(e) = cmd_serve(&args[1..]) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        Some("trace") => {
-            if let Err(e) = cmd_trace(&args[1..]) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+            Err(e) => Err(e),
+        },
+        Some("simulate") => cmd_simulate(rest),
+        Some("stream") => cmd_stream(rest),
+        Some("serve") => cmd_serve(rest),
+        Some("trace") => cmd_trace(rest),
         _ => {
-            eprintln!(
-                "usage: lintime <types|tables|fig11|attack|simulate|stream|serve|trace> [flags]"
-            );
+            eprintln!("{USAGE}");
             eprintln!("       (see crate docs or README.md for flag details)");
             return ExitCode::FAILURE;
         }
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_types() {
+fn cmd_types() -> Result<(), String> {
     println!("built-in data types:");
     for t in all_types() {
         println!("  {}", t.name());
@@ -114,53 +119,110 @@ fn cmd_types() {
             );
         }
     }
+    Ok(())
 }
 
-fn cmd_tables() {
-    for r in [
-        experiments::table1_report(),
-        experiments::table2_report(),
-        experiments::table3_report(),
-        experiments::table4_report(),
-        experiments::table5_report(),
-        experiments::table_kv_report(),
-    ] {
-        println!("{r}");
+/// Metrics-only observability when `--metrics-out` names a path: a null
+/// trace sink keeps event formatting off, and the registry aggregates.
+fn metrics_obs(metrics_out: &Option<String>) -> Obs {
+    match metrics_out {
+        None => Obs::off(),
+        Some(_) => Obs::new(TraceHandle::null(), Registry::new()),
     }
 }
 
-fn cmd_attack(which: Option<&str>) -> Result<(), String> {
-    match which {
-        Some("thm2") | Some("thm3") | Some("thm4") | Some("thm5") => {
-            // The sweeps already bundle all four with controls; print the
-            // relevant section by running the full report (cheap) and
-            // filtering.
-            let full = experiments::lower_bounds_report();
-            let needle = match which.unwrap() {
-                "thm2" => "Theorem 2",
-                "thm3" => "Theorem 3",
-                "thm4" => "Theorem 4",
-                _ => "Theorem 5",
-            };
-            let mut printing = false;
-            for line in full.lines() {
-                if line.starts_with(needle) {
-                    printing = true;
-                } else if printing && line.starts_with("Theorem") {
-                    break;
-                }
-                if printing {
-                    println!("{line}");
-                }
+fn save_metrics(obs: &Obs, metrics_out: &Option<String>) -> Result<(), String> {
+    if let Some(path) = metrics_out {
+        obs.metrics
+            .save_snapshot(std::path::Path::new(path))
+            .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
+        println!("wrote metrics snapshot to {path}");
+    }
+    Ok(())
+}
+
+fn cmd_report(args: &[String]) -> Result<(), String> {
+    let names = args.iter().take_while(|a| !a.starts_with("--")).count();
+    let (names, rest) = args.split_at(names);
+    let mut flags = FlagSet::parse(rest)?;
+    let metrics_out = flags.path_flag("metrics-out")?;
+    flags.finish()?;
+    if names.is_empty() {
+        println!("reports (lintime report <name>… | all):");
+        for r in REPORTS {
+            println!("  {:<17} {}", r.name, r.section);
+        }
+        return Ok(());
+    }
+    let obs = metrics_obs(&metrics_out);
+    if names == ["all"] {
+        print!("{}", experiments::all_reports(&obs));
+    } else {
+        let reports = names
+            .iter()
+            .map(|n| {
+                REPORTS
+                    .iter()
+                    .find(|r| r.name == n)
+                    .ok_or_else(|| format!("unknown report {n:?}; `lintime report` lists them"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        for (i, r) in reports.iter().enumerate() {
+            if i > 0 {
+                println!();
             }
-            Ok(())
+            print!("{}", (r.run)(&obs));
         }
-        Some("all") | None => {
-            print!("{}", experiments::lower_bounds_report());
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown theorem {other:?}; use thm2|thm3|thm4|thm5|all")),
     }
+    save_metrics(&obs, &metrics_out)
+}
+
+fn cmd_attack(args: &[String]) -> Result<(), String> {
+    let which = match args {
+        [] => "all",
+        [which] => which.as_str(),
+        _ => return Err("attack takes one argument".into()),
+    };
+    let report = match which {
+        "all" => experiments::lower_bounds_report(),
+        "search" => experiments::crossover_report(),
+        "timelines" => experiments::timelines_report(),
+        name => experiments::theorem_report(Theorem::by_name(name).ok_or_else(|| {
+            format!("unknown attack {name:?}; use thm2|thm3|thm4|thm5|all|search|timelines")
+        })?),
+    };
+    print!("{report}");
+    Ok(())
+}
+
+/// The fault-injection sweep and the cross-backend availability matrix.
+/// Returns the matrix's confirmed violations: non-suspect runs refuted by
+/// the checker in a cell whose backend claims to tolerate the fault.
+fn cmd_faults(args: &[String]) -> Result<u64, String> {
+    let mut flags = FlagSet::parse(args)?;
+    let seeds = flags.u64_flag("seeds", 8)?;
+    let matrix_only = flags.bool_flag("matrix-only");
+    let matrix_out = flags.path_flag("matrix-out")?;
+    let metrics_out = flags.path_flag("metrics-out")?;
+    flags.finish()?;
+    if seeds == 0 {
+        let expected = "a positive integer";
+        return Err(
+            FlagError::BadValue { flag: "seeds".into(), value: "0".into(), expected }.into()
+        );
+    }
+    let obs = metrics_obs(&metrics_out);
+    if !matrix_only {
+        print!("{}", experiments::fault_sweep_report(seeds, &obs));
+    }
+    let matrix = lintime_bench::matrix::availability_matrix(seeds, &obs);
+    print!("{}", matrix.render());
+    if let Some(path) = matrix_out {
+        std::fs::write(&path, matrix.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("wrote availability matrix to {path}");
+    }
+    save_metrics(&obs, &metrics_out)?;
+    Ok(matrix.confirmed_violations())
 }
 
 /// Shared `--mix` vocabulary of the generator-driven subcommands.
@@ -217,20 +279,18 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     };
     let mut flags = FlagSet::parse(rest)?;
     let mut opts = TraceOptions::default();
-    opts.seed = flags.i64_flag("seed", opts.seed as i64)? as u64;
+    opts.seed = flags.u64_flag("seed", opts.seed)?;
     opts.drop_rate = flags.f64_flag("drop", opts.drop_rate)?;
     opts.max_events = flags.usize_flag("events", opts.max_events)?;
     opts.width = flags.usize_flag("width", opts.width)?;
-    let metrics_out = flags.str_flag("metrics-out", "");
+    let metrics_out = flags.path_flag("metrics-out")?;
     flags.finish()?;
     let (report, obs) = tracecmd::trace_report(scenario, &opts)?;
     print!("{report}");
-    if !metrics_out.is_empty() {
-        let path = std::path::Path::new(&metrics_out);
-        obs.metrics.save_snapshot(path).map_err(|e| format!("cannot write metrics: {e}"))?;
-        println!("\nwrote metrics snapshot to {}", path.display());
+    if metrics_out.is_some() {
+        println!();
     }
-    Ok(())
+    save_metrics(&obs, &metrics_out)
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
@@ -253,17 +313,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     cfg.mean_gap = Time(flags.i64_flag("gap", cfg.mean_gap.as_ticks())?);
     cfg.mix = parse_mix(&flags.str_flag("mix", "balanced"))?;
     cfg.zipf_s = flags.f64_flag("zipf", cfg.zipf_s)?;
-    cfg.seed = flags.i64_flag("seed", cfg.seed as i64)? as u64;
+    cfg.seed = flags.u64_flag("seed", cfg.seed)?;
     cfg.flush_ops = flags.usize_flag("flush", cfg.flush_ops)?;
-    let json_out = flags.str_flag("json-out", "");
+    let json_out = flags.path_flag("json-out")?;
     flags.finish()?;
 
     let report = serve(&cfg)?;
     print!("{}", report.render_text());
-    if !json_out.is_empty() {
-        std::fs::write(&json_out, report.render_json())
-            .map_err(|e| format!("cannot write {json_out}: {e}"))?;
-        println!("wrote {json_out}");
+    if let Some(path) = json_out {
+        std::fs::write(&path, report.render_json())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("wrote {path}");
     }
     if report.verdicts.class() != "linearizable" {
         return Err(format!(
@@ -292,7 +352,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         "naive" => Algorithm::NaiveLocal(Time::ZERO),
         other => return Err(format!("unknown algorithm {other:?}")),
     };
-    let seed = flags.i64_flag("seed", 42)? as u64;
+    let seed = flags.u64_flag("seed", 42)?;
     let mix = parse_mix(&flags.str_flag("mix", "balanced"))?;
     let delay = match flags.str_flag("delay", "random").as_str() {
         "random" => DelaySpec::UniformRandom { seed },

@@ -1,21 +1,21 @@
 //! The experiment implementations behind every table and figure of the
-//! paper. Each function produces a printable text report; the `src/bin`
-//! binaries are thin wrappers, and the integration tests assert on the
-//! reports' content.
+//! paper. Each function produces a printable text report. [`REPORTS`] names
+//! them for `lintime report`, the `lintime attack` subcommands run the
+//! Theorem 2–5 reports, and the integration tests assert on the reports'
+//! content.
 
 use crate::sweep::parallel_map;
+use crate::timeline;
 use lintime_adt::classify;
 use lintime_adt::spec::{erase, Invocation, ObjectSpec};
 use lintime_adt::types::{FifoQueue, Register, RmwRegister, RootedTree, Stack};
 use lintime_adt::universe::{ExploreLimits, Universe};
-use lintime_adt::value::Value;
-use lintime_bounds::adversary::{
-    thm2_attack, thm3_attack, thm4_attack, thm5_attack, AttackReport, Outcome,
-};
+use lintime_bounds::adversary::{AttackReport, Outcome};
 use lintime_bounds::tables::{measure_into, measure_worst_case, Table};
+use lintime_bounds::theorem::Theorem;
 use lintime_bounds::{fig11, formulas, tables};
 use lintime_core::cluster::{run_algorithm, Algorithm};
-use lintime_core::wtlw::Waits;
+use lintime_obs::Obs;
 use lintime_sim::delay::DelaySpec;
 use lintime_sim::engine::SimConfig;
 use lintime_sim::schedule::Schedule;
@@ -135,8 +135,17 @@ fn outcome_label(o: &Outcome) -> &'static str {
 /// The lower-bound crossover sweeps (Figures 1–10 territory): for each
 /// theorem, run the proof's adversarial construction against victims of
 /// decreasing speed and report where violations stop — which should be the
-/// bound formula.
+/// bound formula. Ends with the standard Algorithm 1's control runs.
 pub fn lower_bounds_report() -> String {
+    sweeps_report(&Theorem::ALL, "all four constructions")
+}
+
+/// [`lower_bounds_report`] for one theorem: its sweep and its control run.
+pub fn theorem_report(t: Theorem) -> String {
+    sweeps_report(&[t], "this construction")
+}
+
+fn sweeps_report(theorems: &[Theorem], scope: &str) -> String {
     let p = default_params();
     let mut out = String::new();
     writeln!(
@@ -145,146 +154,16 @@ pub fn lower_bounds_report() -> String {
         p.n, p.d, p.u, p.epsilon
     )
     .unwrap();
-
-    // ---- Theorem 2: pure accessor ≥ u/4. ----
-    let bound2 = formulas::thm2_pure_accessor_lb(p);
-    writeln!(out, "\nTheorem 2: pure accessor (queue peek); bound u/4 = {bound2}").unwrap();
-    let speeds: Vec<Time> = vec![Time(150), Time(300), Time(450), Time(599), Time(600), Time(900)];
-    let rows = parallel_map(speeds, 0, |aop| {
-        let x = p.d - p.epsilon;
-        let mut w = Waits::standard(p, x);
-        w.aop_respond = *aop;
-        let spec = erase(FifoQueue::new());
-        let r = thm2_attack(
-            p,
-            &spec,
-            Invocation::new("enqueue", 7),
-            Invocation::nullary("peek"),
-            *aop,
-            w.mop_respond,
-            Algorithm::WtlwWaits(w),
-        );
-        (*aop, r)
-    });
-    render_sweep(&mut out, "|peek|", bound2, &rows);
-
-    // ---- Theorem 3: last-sensitive mutator ≥ (1 − 1/k)u. ----
-    let bound3 = formulas::thm3_last_sensitive_lb(p, p.n);
-    writeln!(
-        out,
-        "\nTheorem 3: last-sensitive mutator (register write, k = {}); bound (1 − 1/k)u = {bound3}",
-        p.n
-    )
-    .unwrap();
-    let speeds: Vec<Time> =
-        vec![Time(600), Time(1200), Time(1500), Time(1799), Time(1800), Time(2100)];
-    let rows = parallel_map(speeds, 0, |mop| {
-        let mut w = Waits::standard(p, Time::ZERO);
-        w.mop_respond = *mop;
-        let spec = erase(Register::new(0));
-        let args: Vec<Value> = (0..p.n as i64).map(|i| Value::Int(100 + i)).collect();
-        let r = thm3_attack(
-            p,
-            &spec,
-            "write",
-            &args,
-            &[Invocation::nullary("read")],
-            Algorithm::WtlwWaits(w),
-        );
-        (*mop, r)
-    });
-    render_sweep(&mut out, "|write|", bound3, &rows);
-
-    // ---- Theorem 4: pair-free ≥ d + m. ----
-    let bound4 = formulas::thm4_pair_free_lb(p);
-    writeln!(out, "\nTheorem 4: pair-free (rmw); bound d + m = {bound4}").unwrap();
-    let totals: Vec<Time> =
-        vec![Time(6000), Time(6600), Time(7200), Time(7799), Time(7800), Time(8400)];
-    let rows = parallel_map(totals, 0, |total| {
-        let mut w = Waits::standard(p, Time::ZERO);
-        w.execute = *total - w.add; // mixed latency = add + execute
-        let spec = erase(RmwRegister::new(0));
-        let r = thm4_attack(
-            p,
-            &spec,
-            Invocation::new("rmw", 1),
-            Invocation::new("rmw", 1),
-            Algorithm::WtlwWaits(w),
-        );
-        (*total, r)
-    });
-    render_sweep(&mut out, "|rmw|", bound4, &rows);
-
-    // ---- Theorem 5: |enqueue| + |peek| ≥ d + m. ----
-    let bound5 = formulas::thm5_sum_lb(p);
-    writeln!(out, "\nTheorem 5: enqueue + peek sum; bound d + m = {bound5}").unwrap();
-    let sums: Vec<Time> =
-        vec![Time(5400), Time(6000), Time(6600), Time(7200), Time(7799), Time(7800), Time(8400)];
-    let rows = parallel_map(sums, 0, |sum| {
-        let mut w = Waits::standard(p, Time::ZERO);
-        w.aop_respond = *sum - w.mop_respond;
-        let spec = erase(FifoQueue::new());
-        let r = thm5_attack(
-            p,
-            &spec,
-            "enqueue",
-            Value::Int(1),
-            Value::Int(2),
-            Invocation::nullary("peek"),
-            Algorithm::WtlwWaits(w),
-        );
-        (*sum, r)
-    });
-    render_sweep(&mut out, "|enqueue|+|peek|", bound5, &rows);
-
-    writeln!(out, "\nControl: the standard Algorithm 1 (X = 0) survives all four constructions:")
-        .unwrap();
-    let spec_q = erase(FifoQueue::new());
-    let spec_r = erase(Register::new(0));
-    let spec_m = erase(RmwRegister::new(0));
-    let std_algo = Algorithm::Wtlw { x: Time::ZERO };
-    let args: Vec<Value> = (0..p.n as i64).map(|i| Value::Int(100 + i)).collect();
-    let controls: Vec<(&str, Outcome)> = vec![
-        (
-            "thm2",
-            thm2_attack(
-                p,
-                &spec_q,
-                Invocation::new("enqueue", 7),
-                Invocation::nullary("peek"),
-                p.d,
-                p.epsilon,
-                std_algo,
-            )
-            .outcome,
-        ),
-        (
-            "thm3",
-            thm3_attack(p, &spec_r, "write", &args, &[Invocation::nullary("read")], std_algo)
-                .outcome,
-        ),
-        (
-            "thm4",
-            thm4_attack(p, &spec_m, Invocation::new("rmw", 1), Invocation::new("rmw", 1), std_algo)
-                .outcome,
-        ),
-        (
-            "thm5",
-            thm5_attack(
-                p,
-                &spec_q,
-                "enqueue",
-                Value::Int(1),
-                Value::Int(2),
-                Invocation::nullary("peek"),
-                std_algo,
-            )
-            .outcome,
-        ),
-    ];
-    for (name, o) in &controls {
-        writeln!(out, "  {name}: {}", outcome_label(o)).unwrap();
-        assert!(!o.violated(), "standard algorithm must survive {name}");
+    for &t in theorems {
+        writeln!(out, "\n{}", t.heading(p)).unwrap();
+        let rows = parallel_map(t.sweep(), 0, |speed| (*speed, t.attack(p, *speed)));
+        render_sweep(&mut out, t.quantity(), t.bound(p), &rows);
+    }
+    writeln!(out, "\nControl: the standard Algorithm 1 (X = 0) survives {scope}:").unwrap();
+    for &t in theorems {
+        let o = t.control(p).outcome;
+        writeln!(out, "  {}: {}", t.name(), outcome_label(&o)).unwrap();
+        assert!(!o.violated(), "standard algorithm must survive {}", t.name());
     }
     out
 }
@@ -317,6 +196,89 @@ fn render_sweep(out: &mut String, label: &str, bound: Time, rows: &[(Time, Attac
         }
     }
     writeln!(out, "  crossover matches the formula: violations iff {label} < {bound} ✓").unwrap();
+}
+
+/// Binary-search the victim-speed axis of each Theorem 2–5 construction and
+/// report the tick-exact violation threshold next to the bound formula.
+pub fn crossover_report() -> String {
+    let p = default_params();
+    let mut out = String::new();
+    writeln!(
+        out,
+        "Tick-exact lower-bound thresholds (n = {}, d = {}, u = {}, ε = {}):\n",
+        p.n, p.d, p.u, p.epsilon
+    )
+    .unwrap();
+    writeln!(out, "  {:<42} {:>10} {:>10} {:>7}", "construction", "measured", "formula", "probes")
+        .unwrap();
+    for t in Theorem::ALL {
+        let c = t.crossover(p).unwrap();
+        let (label, formula) = (t.search_label(), t.bound(p));
+        writeln!(
+            out,
+            "  {:<42} {:>10} {:>10} {:>7}",
+            label,
+            c.first_safe.to_string(),
+            formula.to_string(),
+            c.probes
+        )
+        .unwrap();
+        assert_eq!(c.first_safe, formula, "{label}: measured ≠ formula");
+    }
+    writeln!(out, "\nevery threshold equals its formula to the tick ✓").unwrap();
+    out
+}
+
+/// Textual reproductions of the paper's run diagrams (Figures 1–10): the
+/// base and shifted runs of the Theorem 3, 4 and 5 constructions against a
+/// victim inside each bound, drawn to scale.
+pub fn timelines_report() -> String {
+    let p = default_params();
+    let width = 100;
+    let mut out = String::new();
+    let draw = |out: &mut String, run: &Option<lintime_sim::run::Run>| {
+        if let Some(run) = run {
+            out.push_str(&timeline::render(run, width));
+        }
+    };
+
+    writeln!(out, "=== Figure 1 analogue: Theorem 3 runs R1 (base) and R2 (shifted) ===").unwrap();
+    writeln!(out, "k = {} concurrent write instances under the circulant delay matrix;", p.n)
+        .unwrap();
+    writeln!(out, "in R2 the algorithm's last-ordered instance finishes before its cyclic")
+        .unwrap();
+    writeln!(out, "successor begins, pinning it into the linearization prefix.\n").unwrap();
+    let report = Theorem::Thm3.attack(p, Time(1500));
+    if report.base.is_some() {
+        writeln!(out, "R1 (admissible, linearizable):").unwrap();
+        draw(&mut out, &report.base);
+    }
+    if report.shifted.is_some() {
+        writeln!(out, "\nR2 = shift(R1, x̄) (admissible, NOT linearizable — checker verdict):")
+            .unwrap();
+        draw(&mut out, &report.shifted);
+    }
+    writeln!(out, "outcome: {:?}\n", report.outcome).unwrap();
+
+    writeln!(out, "=== Figures 2–7 analogue: Theorem 4 run (pair-free rmw) ===").unwrap();
+    writeln!(out, "p0's clock runs m = {} behind; both instances carry equal local", p.m())
+        .unwrap();
+    writeln!(out, "timestamps; every message takes the full d = {}.\n", p.d).unwrap();
+    let report = Theorem::Thm4.attack(p, p.d + p.epsilon - Time(600));
+    draw(&mut out, &report.base);
+    writeln!(out, "outcome: {:?} (both returned the pre-state)\n", report.outcome).unwrap();
+
+    writeln!(out, "=== Figures 8–10 analogue: Theorem 5 run (enqueue + peek) ===").unwrap();
+    // A victim in the [d, d + m) band.
+    let report = Theorem::Thm5.attack(p, p.d + p.m() - Time(600));
+    draw(&mut out, &report.base);
+    writeln!(
+        out,
+        "outcome: {:?} (p1's peek returned 2 while p0's and p2's returned 1)",
+        report.outcome
+    )
+    .unwrap();
+    out
 }
 
 /// The Section 1 claim: Algorithm 1 beats both folklore algorithms on every
@@ -589,15 +551,12 @@ pub(crate) fn fault_sweep_schedule(p: ModelParams, seed: u64, slack: Time) -> Sc
 /// omission faults (responses are timer-driven) but silently lose mutator
 /// announcements, so the checker catches non-linearizable runs; the recovery
 /// wrapper retransmits and must keep every run certified.
-pub fn fault_sweep_report(seeds: u64) -> String {
-    fault_sweep_report_observed(seeds, &lintime_obs::Obs::off())
-}
-
-/// [`fault_sweep_report`] with every simulator run and checker call routed
-/// through `obs`: the experiment bins' `--metrics-out` flag uses this to
-/// leave a machine-readable metrics snapshot next to the text report. The
-/// sweep runs in parallel, so counters aggregate across all seeds and rates.
-pub fn fault_sweep_report_observed(seeds: u64, obs: &lintime_obs::Obs) -> String {
+///
+/// Every simulator run and checker call is routed through `obs`, so
+/// `--metrics-out` can leave a machine-readable metrics snapshot next to the
+/// text report. The sweep runs in parallel, so counters aggregate across all
+/// seeds and rates.
+pub fn fault_sweep_report(seeds: u64, obs: &Obs) -> String {
     use lintime_core::reliable::{run_reliable, RecoveryConfig};
     use lintime_core::wtlw::WtlwNode;
     use lintime_sim::engine::simulate;
@@ -750,35 +709,65 @@ pub fn fault_sweep_report_observed(seeds: u64, obs: &lintime_obs::Obs) -> String
     out
 }
 
-/// A quick all-experiments digest (used by `--bin all_experiments`).
-pub fn all_reports() -> String {
-    all_reports_observed(&lintime_obs::Obs::off())
+/// One named report: `lintime report <name>` prints it, and the digest
+/// prints it under its section banner.
+pub struct Report {
+    /// The name on the command line.
+    pub name: &'static str,
+    /// The digest's banner for it, which also describes it.
+    pub section: &'static str,
+    /// Builds the text. Only the fault sweep routes its runs through the
+    /// [`Obs`].
+    pub run: fn(&Obs) -> String,
 }
 
-/// [`all_reports`] with the fault sweep instrumented through `obs`, so
-/// `all_experiments --metrics-out` can save a metrics snapshot alongside
-/// the text digest.
-pub fn all_reports_observed(obs: &lintime_obs::Obs) -> String {
+/// Every report of the reproduction, in digest order.
+pub const REPORTS: &[Report] = &[
+    Report { name: "table1", section: "TABLE 1", run: |_| table1_report() },
+    Report { name: "table2", section: "TABLE 2", run: |_| table2_report() },
+    Report { name: "table3", section: "TABLE 3", run: |_| table3_report() },
+    Report { name: "table4", section: "TABLE 4", run: |_| table4_report() },
+    Report { name: "table5", section: "TABLE 5", run: |_| table5_report() },
+    Report { name: "fig11", section: "FIGURE 11", run: |_| fig11_report() },
+    Report {
+        name: "lower_bounds",
+        section: "LOWER BOUNDS (Thms 2-5 / Figs 1-10)",
+        run: |_| lower_bounds_report(),
+    },
+    Report { name: "folklore_compare", section: "FOLKLORE COMPARISON", run: |_| folklore_report() },
+    Report { name: "x_tradeoff", section: "X TRADEOFF", run: |_| x_tradeoff_report() },
+    Report { name: "clocksync_skew", section: "CLOCK SYNC", run: |_| clocksync_report() },
+    Report {
+        name: "linearizability",
+        section: "LINEARIZABILITY SWEEP",
+        run: |_| linearizability_sweep_report(6),
+    },
+    Report {
+        name: "drop_sweep",
+        section: "FAULT SWEEP (EXTENSION)",
+        run: |obs| fault_sweep_report(4, obs),
+    },
+    Report {
+        name: "table6_kv",
+        section: "TABLE 6 (EXTENSION, KV STORE)",
+        run: |_| table_kv_report(),
+    },
+    Report { name: "throughput", section: "THROUGHPUT (EXTENSION)", run: |_| throughput_report() },
+    Report { name: "n_scaling", section: "N SCALING (EXTENSION)", run: |_| n_scaling_report() },
+    Report {
+        name: "workload_mix",
+        section: "WORKLOAD MIXES (EXTENSION)",
+        run: |_| workload_mix_report(),
+    },
+];
+
+/// Every report in [`REPORTS`] under its section banner (`lintime report
+/// all`), with the fault sweep instrumented through `obs`.
+pub fn all_reports(obs: &Obs) -> String {
     let mut out = String::new();
-    for (name, report) in [
-        ("TABLE 1", table1_report()),
-        ("TABLE 2", table2_report()),
-        ("TABLE 3", table3_report()),
-        ("TABLE 4", table4_report()),
-        ("TABLE 5", table5_report()),
-        ("FIGURE 11", fig11_report()),
-        ("LOWER BOUNDS (Thms 2-5 / Figs 1-10)", lower_bounds_report()),
-        ("FOLKLORE COMPARISON", folklore_report()),
-        ("X TRADEOFF", x_tradeoff_report()),
-        ("CLOCK SYNC", clocksync_report()),
-        ("LINEARIZABILITY SWEEP", linearizability_sweep_report(6)),
-        ("FAULT SWEEP (EXTENSION)", fault_sweep_report_observed(4, obs)),
-        ("TABLE 6 (EXTENSION, KV STORE)", table_kv_report()),
-        ("THROUGHPUT (EXTENSION)", throughput_report()),
-        ("N SCALING (EXTENSION)", n_scaling_report()),
-        ("WORKLOAD MIXES (EXTENSION)", workload_mix_report()),
-    ] {
-        writeln!(out, "\n================ {name} ================\n{report}").unwrap();
+    for r in REPORTS {
+        writeln!(out, "\n================ {} ================\n{}", r.section, (r.run)(obs))
+            .unwrap();
     }
     out
 }

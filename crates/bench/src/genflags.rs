@@ -1,10 +1,8 @@
-//! Shared `--flag value` parsing for the generator-driven subcommands
-//! (`lintime simulate`, `lintime stream`, `lintime serve`, `lintime trace`).
+//! Shared `--flag value` parsing for the `lintime` subcommands that take
+//! flags (`simulate`, `stream`, `serve`, `trace`, `faults`, `report`).
 //!
-//! All four commands take the same flavor of flags — `--ops 50000 --shards 8
-//! --rate 1.5` — and before this module each parsed them ad hoc, with
-//! failure modes ranging from a generic string error to a panic deep inside
-//! `parse()`. [`FlagSet`] centralizes the grammar and returns structured
+//! They all take the same flavor of flags — `--ops 50000 --shards 8
+//! --rate 1.5`. [`FlagSet`] centralizes the grammar and returns structured
 //! [`FlagError`]s that say which flag failed, what value it got, and what
 //! was expected; a typo'd flag name is caught by [`FlagSet::finish`]
 //! (anything never read by the command is rejected with a list), instead of
@@ -60,10 +58,11 @@ impl From<FlagError> for String {
 /// Accessors take `&mut self` so the set can track which flags were
 /// consumed; call [`FlagSet::finish`] after the last accessor to reject
 /// leftovers. A flag without a following value (or followed by another
-/// `--flag`) reads as the boolean `"true"`.
+/// `--flag`) reads as the boolean `"true"`, except to [`FlagSet::path_flag`].
 #[derive(Debug)]
 pub struct FlagSet {
-    flags: HashMap<String, String>,
+    /// Each flag's value; `None` for a bare flag.
+    flags: HashMap<String, Option<String>>,
     consumed: BTreeSet<String>,
 }
 
@@ -76,11 +75,7 @@ impl FlagSet {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(FlagError::UnexpectedArg(a.clone()));
             };
-            let value = if it.peek().is_some_and(|v| !v.starts_with("--")) {
-                it.next().unwrap().clone()
-            } else {
-                "true".to_string() // boolean flag
-            };
+            let value = it.next_if(|v| !v.starts_with("--")).cloned();
             flags.insert(key.to_string(), value);
         }
         Ok(FlagSet { flags, consumed: BTreeSet::new() })
@@ -88,8 +83,22 @@ impl FlagSet {
 
     /// The flag's raw value, or `default` when absent.
     pub fn str_flag(&mut self, key: &str, default: &str) -> String {
+        self.raw(key).unwrap_or(default).to_string()
+    }
+
+    /// An optional output path: `None` when absent, and an error when given
+    /// bare, which would otherwise read as the path `true`.
+    pub fn path_flag(&mut self, key: &str) -> Result<Option<String>, FlagError> {
         self.consumed.insert(key.to_string());
-        self.flags.get(key).cloned().unwrap_or_else(|| default.to_string())
+        match self.flags.get(key) {
+            None => Ok(None),
+            Some(Some(path)) => Ok(Some(path.clone())),
+            Some(None) => Err(FlagError::BadValue {
+                flag: key.to_string(),
+                value: String::new(),
+                expected: "a path",
+            }),
+        }
     }
 
     /// True iff the flag was given (with any value, including bare).
@@ -101,6 +110,12 @@ impl FlagSet {
     /// A signed integer flag.
     pub fn i64_flag(&mut self, key: &str, default: i64) -> Result<i64, FlagError> {
         self.typed(key, default, "an integer", |s| s.parse().ok())
+    }
+
+    /// A non-negative integer flag, e.g. a seed. A negative value is a
+    /// [`FlagError::BadValue`], never a wrapped-around `u64`.
+    pub fn u64_flag(&mut self, key: &str, default: u64) -> Result<u64, FlagError> {
+        self.typed(key, default, "a non-negative integer", |s| s.parse().ok())
     }
 
     /// A non-negative size flag.
@@ -133,15 +148,20 @@ impl FlagSet {
         expected: &'static str,
         parse: impl Fn(&str) -> Option<T>,
     ) -> Result<T, FlagError> {
-        self.consumed.insert(key.to_string());
-        match self.flags.get(key) {
+        match self.raw(key) {
             None => Ok(default),
             Some(raw) => parse(raw).ok_or_else(|| FlagError::BadValue {
                 flag: key.to_string(),
-                value: raw.clone(),
+                value: raw.to_string(),
                 expected,
             }),
         }
+    }
+
+    /// Mark `key` consumed and return its value; a bare flag reads `"true"`.
+    fn raw(&mut self, key: &str) -> Option<&str> {
+        self.consumed.insert(key.to_string());
+        self.flags.get(key).map(|v| v.as_deref().unwrap_or("true"))
     }
 }
 
@@ -189,6 +209,35 @@ mod tests {
 
         let mut f = FlagSet::parse(&args(&["--rate", "NaN"])).expect("parse");
         assert!(f.f64_flag("rate", 1.0).is_err(), "NaN must not count as a number");
+    }
+
+    #[test]
+    fn u64_flags_reject_negative_values() {
+        let mut f = FlagSet::parse(&args(&["--seed", "-1", "--seeds", "5"])).expect("parse");
+        assert_eq!(
+            f.u64_flag("seed", 42).unwrap_err(),
+            FlagError::BadValue {
+                flag: "seed".into(),
+                value: "-1".into(),
+                expected: "a non-negative integer"
+            }
+        );
+        assert_eq!(f.u64_flag("seeds", 8).unwrap(), 5);
+        assert_eq!(f.u64_flag("absent", 7).unwrap(), 7, "absent flag takes the default");
+        assert!(f.finish().is_ok());
+
+        let mut f = FlagSet::parse(&args(&["--seed", "18446744073709551615"])).expect("parse");
+        assert_eq!(f.u64_flag("seed", 0).unwrap(), u64::MAX, "the full u64 range parses");
+    }
+
+    #[test]
+    fn path_flags_need_a_value() {
+        let mut f =
+            FlagSet::parse(&args(&["--json-out", "r.json", "--metrics-out"])).expect("parse");
+        assert_eq!(f.path_flag("json-out").unwrap().as_deref(), Some("r.json"));
+        assert_eq!(f.path_flag("matrix-out").unwrap(), None, "absent");
+        let err = f.path_flag("metrics-out").unwrap_err();
+        assert!(err.to_string().contains("--metrics-out expects a path"), "{err}");
     }
 
     #[test]

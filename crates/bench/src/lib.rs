@@ -1,17 +1,18 @@
 //! # lintime-bench
 //!
 //! The benchmark and reproduction harness: every table and figure of the
-//! paper has a generator here (see [`experiments`]) plus a binary under
-//! `src/bin` that prints it, and a timing bench under `benches` that
-//! measures the corresponding simulator workload. The example programs
+//! paper has a generator here (see [`experiments`]), printed by the one
+//! binary, `lintime` (`lintime report <name>`, `lintime attack …`), and a
+//! timing bench under `benches` that measures the corresponding simulator
+//! workload. The example programs
 //! live under this crate's `examples/` directory, and the
 //! workspace-level `tests/` directory is wired into this crate. The
 //! robustness extension adds a fault-injection sweep
-//! ([`experiments::fault_sweep_report`], `--bin fault_sweep`) and a
-//! cross-backend availability matrix ([`matrix`]), and the
+//! ([`experiments::fault_sweep_report`]) and a cross-backend availability
+//! matrix ([`matrix`]), both run by `lintime faults`, and the
 //! observability extension adds traced scenario replay ([`tracecmd`],
-//! `lintime trace`) plus a `--metrics-out` snapshot flag on the sweep
-//! binaries. The streaming extension adds generated live event streams
+//! `lintime trace`) plus a `--metrics-out` snapshot flag on `lintime
+//! faults` and `lintime report`. The streaming extension adds generated live event streams
 //! ([`streamgen`], `lintime stream`, `benches/streaming.rs`) for the
 //! bounded-memory online checker. The serving extension adds a sharded
 //! multi-object deployment under open-loop load ([`serve`], `lintime

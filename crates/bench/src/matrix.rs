@@ -20,7 +20,7 @@
 //! Each backend *declares* the fault classes it tolerates
 //! ([`Backend::tolerance`]); a `NotLinearizable` verdict on a non-suspect
 //! run inside a tolerated cell is a **confirmed violation** — the CI gate
-//! (`fault_sweep --matrix-only`) exits non-zero on any.
+//! (`lintime faults --matrix-only`) exits 2 on any.
 
 use crate::experiments::fault_sweep_schedule;
 use crate::sweep::parallel_map;

@@ -56,102 +56,36 @@ pub fn find_crossover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{thm2_attack, thm3_attack, thm4_attack, thm5_attack};
     use crate::formulas;
-    use lintime_adt::prelude::*;
-    use lintime_core::cluster::Algorithm;
-    use lintime_core::wtlw::Waits;
+    use crate::theorem::Theorem;
     use lintime_sim::time::ModelParams;
 
     fn p() -> ModelParams {
         ModelParams::default_experiment()
     }
 
+    fn first_safe(t: Theorem) -> Time {
+        t.crossover(p()).unwrap().first_safe
+    }
+
     #[test]
     fn thm2_crossover_is_exactly_u_over_4() {
-        let p = p();
-        let spec = erase(FifoQueue::new());
-        let x = p.d - p.epsilon;
-        let cross = find_crossover(Time(50), p.u / 2, |aop| {
-            let mut w = Waits::standard(p, x);
-            w.aop_respond = aop;
-            thm2_attack(
-                p,
-                &spec,
-                Invocation::new("enqueue", 7),
-                Invocation::nullary("peek"),
-                aop,
-                w.mop_respond,
-                Algorithm::WtlwWaits(w),
-            )
-            .outcome
-        })
-        .unwrap();
-        assert_eq!(cross.first_safe, formulas::thm2_pure_accessor_lb(p));
+        assert_eq!(first_safe(Theorem::Thm2), formulas::thm2_pure_accessor_lb(p()));
     }
 
     #[test]
     fn thm3_crossover_is_exactly_one_minus_one_over_n_u() {
-        let p = p();
-        let spec = erase(Register::new(0));
-        let args: Vec<Value> = (0..p.n as i64).map(|i| Value::Int(100 + i)).collect();
-        let cross = find_crossover(Time(600), p.u, |mop| {
-            let mut w = Waits::standard(p, Time::ZERO);
-            w.mop_respond = mop;
-            thm3_attack(
-                p,
-                &spec,
-                "write",
-                &args,
-                &[Invocation::nullary("read")],
-                Algorithm::WtlwWaits(w),
-            )
-            .outcome
-        })
-        .unwrap();
-        assert_eq!(cross.first_safe, formulas::thm3_last_sensitive_lb(p, p.n));
+        assert_eq!(first_safe(Theorem::Thm3), formulas::thm3_last_sensitive_lb(p(), p().n));
     }
 
     #[test]
     fn thm4_crossover_is_exactly_d_plus_m() {
-        let p = p();
-        let spec = erase(RmwRegister::new(0));
-        let cross = find_crossover(p.d, p.d + p.m() * 2, |total| {
-            let mut w = Waits::standard(p, Time::ZERO);
-            w.execute = total - w.add;
-            thm4_attack(
-                p,
-                &spec,
-                Invocation::new("rmw", 1),
-                Invocation::new("rmw", 1),
-                Algorithm::WtlwWaits(w),
-            )
-            .outcome
-        })
-        .unwrap();
-        assert_eq!(cross.first_safe, formulas::thm4_pair_free_lb(p));
+        assert_eq!(first_safe(Theorem::Thm4), formulas::thm4_pair_free_lb(p()));
     }
 
     #[test]
     fn thm5_crossover_is_exactly_d_plus_m() {
-        let p = p();
-        let spec = erase(FifoQueue::new());
-        let cross = find_crossover(p.d - p.m(), p.d + p.m() * 2, |sum| {
-            let mut w = Waits::standard(p, Time::ZERO);
-            w.aop_respond = sum - w.mop_respond;
-            thm5_attack(
-                p,
-                &spec,
-                "enqueue",
-                Value::Int(1),
-                Value::Int(2),
-                Invocation::nullary("peek"),
-                Algorithm::WtlwWaits(w),
-            )
-            .outcome
-        })
-        .unwrap();
-        assert_eq!(cross.first_safe, formulas::thm5_sum_lb(p));
+        assert_eq!(first_safe(Theorem::Thm5), formulas::thm5_sum_lb(p()));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   executable classification of every built-in data type;
 //! * [`adversary`] — the lower-bound proof constructions as attacks that
 //!   exhibit checker-verified linearizability violations against
-//!   too-fast victim algorithms, and fail against the standard Algorithm 1.
+//!   too-fast victim algorithms, and fail against the standard Algorithm 1;
+//! * [`theorem`] — the one standard instance of each Theorem 2–5
+//!   construction that the reports, searches and benches run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -21,6 +23,7 @@ pub mod crossover;
 pub mod fig11;
 pub mod formulas;
 pub mod tables;
+pub mod theorem;
 
 /// Convenient re-exports of the most-used items.
 pub mod prelude {
@@ -34,4 +37,5 @@ pub mod prelude {
     pub use crate::tables::{
         measure_into, measure_worst_case, table1, table2, table3, table4, table5, Table, TableRow,
     };
+    pub use crate::theorem::Theorem;
 }

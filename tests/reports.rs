@@ -1,9 +1,10 @@
 //! Integration tests over the experiment reports themselves: every table and
 //! figure generator must produce its expected rows, and the internal shape
 //! assertions (crossovers, formula matches) must hold. These are the same
-//! code paths the `lintime-bench` binaries print.
+//! code paths `lintime report` and `lintime attack` print.
 
 use lintime_bench::experiments;
+use lintime_bounds::formulas;
 
 #[test]
 fn table1_reproduces() {
@@ -109,4 +110,39 @@ fn lower_bound_crossovers() {
     // bound.
     let r = experiments::lower_bounds_report();
     assert!(r.matches("crossover matches the formula").count() == 4);
+}
+
+#[test]
+fn crossover_search_matches_every_formula() {
+    // The report asserts internally that each threshold equals its formula.
+    let r = experiments::crossover_report();
+    let p = experiments::default_params();
+    let rows: Vec<&str> = r.lines().filter(|l| l.trim_start().starts_with("Thm ")).collect();
+    assert_eq!(rows.len(), 4, "{r}");
+    let formulas = [
+        formulas::thm2_pure_accessor_lb(p),
+        formulas::thm3_last_sensitive_lb(p, p.n),
+        formulas::thm4_pair_free_lb(p),
+        formulas::thm5_sum_lb(p),
+    ];
+    for (row, formula) in rows.iter().zip(formulas) {
+        let cols: Vec<&str> = row.split_whitespace().rev().take(3).collect();
+        // Columns from the right: probes, formula, measured.
+        assert_eq!(cols[1], formula.to_string(), "{row}");
+        assert_eq!(cols[2], formula.to_string(), "{row}");
+    }
+    assert!(r.trim_end().ends_with("every threshold equals its formula to the tick ✓"), "{r}");
+}
+
+#[test]
+fn timelines_draw_the_proof_runs() {
+    let r = experiments::timelines_report();
+    assert!(r.contains("R1 (admissible, linearizable):"), "{r}");
+    assert!(r.contains("R2 = shift(R1, x̄) (admissible, NOT linearizable"), "{r}");
+    let outcomes: Vec<&str> = r.lines().filter(|l| l.starts_with("outcome: ")).collect();
+    assert_eq!(outcomes.len(), 3, "{r}");
+    assert!(outcomes[0].starts_with("outcome: ViolationInShifted"), "{}", outcomes[0]);
+    for o in &outcomes[1..] {
+        assert!(o.starts_with("outcome: ViolationIn"), "every victim is defeated: {o}");
+    }
 }
